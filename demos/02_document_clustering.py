@@ -24,10 +24,7 @@ def describe(corpus, clusters, title: str) -> None:
           f"(monotone over {len(clusters.inertia_history)} iterations)")
     for c in range(clusters.k):
         members = np.flatnonzero(clusters.assignment == c)
-        counts = np.zeros(corpus.vocab_size)
-        for d in members:
-            for v, n in corpus.documents[d].counts.items():
-                counts[v] += n
+        counts = corpus.doc_term[members].sum(axis=0).A1  # word counts over the cluster
         top = np.argsort(counts)[::-1][:4]
         top_words = ", ".join(corpus.vocabulary.words[v] for v in top)
         print(f"  cluster {c}: {len(members):2d} docs — {top_words}")

@@ -4,15 +4,14 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
     Corpus, Document, PreprocessOptions, Vocabulary,
-    compute_g0, load_corpus, preprocess, save_corpus,
+    compute_g0, doc_term_matrix, load_corpus, preprocess, save_corpus,
 )
 from .sgns import EmbeddingMatrix, SgnsConfig, load_embeddings, pretrain, save_embeddings  # noqa: F401
 from .cluster import ClusterModel, cluster_corpus, kmeans, vectorize_documents  # noqa: F401
 from .model import (  # noqa: F401
-    ModelParams, VariationalStats, elbo_and_grad, elbo_minibatch, encode, grad_elbo,
+    ModelParams, VariationalStats, elbo_and_grad, elbo_minibatch, encode,
     infer_doc_topics, init_params, kl_to_prior, load_checkpoint,
-    log_topic_word_matrix, modified_word_dist, save_checkpoint,
-    top_words, topic_embedding_modified, topic_word_dist,
+    log_topic_word_matrix, save_checkpoint, topic_embedding_modified,
 )
 from .lda_baseline import LdaState, fit_lda, lda_topic_word  # noqa: F401
 from .metrics import (  # noqa: F401

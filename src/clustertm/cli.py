@@ -126,9 +126,8 @@ def cmd_eval(args) -> None:
 def cmd_topics(args) -> None:
     params, _ = model.load_checkpoint(args.checkpoint)
     corpus = corpus_mod.load_corpus(args.corpus)
-    log_beta = model.log_topic_word_matrix(params)
-    for t in range(params.n_topics):
-        pairs = model.top_words(params, t, args.n, log_beta)
+    topic_word = np.exp(model.log_topic_word_matrix(params))
+    for t, pairs in enumerate(metrics.top_words_from_matrix(topic_word, args.n)):
         words = " ".join(corpus.vocabulary.words[v] for v, _ in pairs)
         print(f"topic {t}: {words}")
 

@@ -34,25 +34,13 @@ class ClusterModel:
 
 def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = None) -> np.ndarray:
     """Count-weighted mean embedding per document, or L2-normalized TF-IDF without embeddings."""
+    x = corpus.doc_term
     if embeddings is not None:
-        reps = np.zeros((corpus.n_docs, embeddings.dim))
-        for d, doc in enumerate(corpus.documents):
-            for v, c in doc.counts.items():
-                reps[d] += c * embeddings.vectors[v]
-            reps[d] /= doc.length
-        return reps
-
-    n_docs, n_v = corpus.n_docs, corpus.vocab_size
-    df = np.zeros(n_v)
-    for doc in corpus.documents:
-        df[list(doc.counts)] += 1
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0  # smooth, strictly positive
-    reps = np.zeros((n_docs, n_v))
-    for d, doc in enumerate(corpus.documents):
-        for v, c in doc.counts.items():
-            reps[d, v] = c * idf[v]
-        reps[d] /= np.linalg.norm(reps[d])
-    return reps
+        return (x @ embeddings.vectors) / x.sum(axis=1).A
+    df = (x > 0).sum(axis=0).A1
+    idf = np.log((1.0 + corpus.n_docs) / (1.0 + df)) + 1.0  # smooth, strictly positive
+    reps = x.multiply(idf).toarray()
+    return reps / np.linalg.norm(reps, axis=1, keepdims=True)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -11,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -79,23 +81,26 @@ class Vocabulary:
 @dataclass
 class Document:
     tokens: list[int]  # order preserved
-    counts: dict[int, int] = field(init=False)
-
-    def __post_init__(self):
-        self.counts = dict(Counter(self.tokens))
 
     @property
     def length(self) -> int:
         return len(self.tokens)
 
-    def count_vector(self, vocab_size: int) -> np.ndarray:
-        x = np.zeros(vocab_size)
-        for v, c in self.counts.items():
-            x[v] = c
-        return x
 
-    def __eq__(self, other):
-        return isinstance(other, Document) and self.tokens == other.tokens
+def doc_term_matrix(documents: list[Document], n_vocab: int) -> sp.csr_matrix:
+    """(#docs, n_vocab) float64 token counts, CSR with sorted column indices.
+
+    The only place token lists become counts. Ids outside [0, n_vocab) raise
+    CorpusError.
+    """
+    lengths = [len(d.tokens) for d in documents]
+    ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in documents),
+                      dtype=np.int64, count=sum(lengths))
+    bad = ids[(ids < 0) | (ids >= n_vocab)]
+    if bad.size:
+        raise CorpusError(f"token id {bad[0]} outside vocabulary of size {n_vocab}")
+    rows = np.repeat(np.arange(len(documents)), lengths)
+    return sp.csr_matrix((np.ones(ids.size), (rows, ids)), shape=(len(documents), n_vocab))
 
 
 @dataclass
@@ -103,6 +108,10 @@ class Corpus:
     documents: list[Document]
     vocabulary: Vocabulary
     g0: np.ndarray
+    doc_term: sp.csr_matrix = field(init=False, repr=False)  # built once from the documents
+
+    def __post_init__(self):
+        self.doc_term = doc_term_matrix(self.documents, self.vocabulary.size)
 
     @property
     def n_docs(self) -> int:
@@ -138,14 +147,8 @@ def tokenize(text: str) -> list[str]:
 
 def compute_g0(documents: list[Document], vocabulary: Vocabulary) -> np.ndarray:
     """Relative frequency of each word over the whole token stream."""
-    counts = np.zeros(vocabulary.size)
-    total = 0
-    for doc in documents:
-        for v, c in doc.counts.items():
-            if v >= vocabulary.size:
-                raise CorpusError(f"token id {v} outside vocabulary of size {vocabulary.size}")
-            counts[v] += c
-        total += doc.length
+    counts = doc_term_matrix(documents, vocabulary.size).sum(axis=0).A1
+    total = counts.sum()
     if total == 0:
         raise CorpusError("cannot compute background frequencies over zero tokens")
     return counts / total
@@ -226,4 +229,11 @@ def load_corpus(path) -> Corpus:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e
     if g0.shape != (vocab.size,):
         raise CorpusError(f"{path}: g0 length {g0.shape} does not match vocabulary {vocab.size}")
-    return Corpus(docs, vocab, g0)
+    try:
+        corpus = Corpus(docs, vocab, g0)
+        drift = np.abs(g0 - compute_g0(docs, vocab)).max()
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e
+    if not drift <= 1e-12:
+        raise CorpusError(f"{path}: stored g0 differs from the document counts by {drift:.3g}")
+    return corpus

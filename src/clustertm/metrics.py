@@ -60,16 +60,9 @@ def top_words_from_matrix(topic_word: np.ndarray, n: int) -> list[list[tuple[int
 
 def cooccurrence_stats(corpus: Corpus, word_ids) -> tuple[np.ndarray, np.ndarray]:
     """Document-presence probabilities P(u) and P(u, v) over the given word ids."""
-    word_ids = list(word_ids)
-    pos = {v: i for i, v in enumerate(word_ids)}
-    k = len(word_ids)
-    presence = np.zeros((corpus.n_docs, k))
-    for d, doc in enumerate(corpus.documents):
-        for v in doc.counts:
-            if v in pos:
-                presence[d, pos[v]] = 1.0
-    p_u = presence.mean(axis=0)
-    p_uv = (presence.T @ presence) / corpus.n_docs
+    presence = (corpus.doc_term[:, list(word_ids)] > 0).astype(float)
+    p_u = presence.sum(axis=0).A1 / corpus.n_docs
+    p_uv = (presence.T @ presence).toarray() / corpus.n_docs
     return p_u, p_uv
 
 

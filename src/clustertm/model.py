@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit, logsumexp
 
-from .corpus import Document
+from .corpus import Document, doc_term_matrix
 
 
 class ModelError(Exception):
@@ -121,6 +122,8 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
 
 def topic_embedding_modified(params: ModelParams, centres: np.ndarray | None = None) -> np.ndarray:
     """Apply the centre->embedding network row-wise: tanh layer then linear."""
+    if params.kind != "modified":
+        raise ModelError("the centre network belongs to the modified model")
     c = params.centres if centres is None else np.asarray(centres, dtype=float)
     xi = params.xi
     if c.shape[1] != xi["W1"].shape[1]:
@@ -139,21 +142,12 @@ def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
     return logits - logsumexp(logits, axis=1, keepdims=True)
 
 
-def topic_word_dist(params: ModelParams, t: int) -> np.ndarray:
-    if not 0 <= t < params.n_topics:
-        raise ModelError(f"topic {t} out of range")
-    return np.exp(log_topic_word_matrix(params)[t])
-
-
-def modified_word_dist(params: ModelParams, t: int) -> np.ndarray:
-    if params.kind != "modified":
-        raise ModelError("modified_word_dist requires the modified model")
-    return topic_word_dist(params, t)
-
-
 def encode(params: ModelParams, doc: Document | np.ndarray) -> VariationalStats:
     """Mean and log-std of the variational Gaussian from L1-normalized counts."""
-    x = doc.count_vector(params.n_vocab) if isinstance(doc, Document) else np.asarray(doc, float)
+    if isinstance(doc, Document):
+        x = doc_term_matrix([doc], params.n_vocab).toarray()[0]
+    else:
+        x = np.asarray(doc, float)
     h = x / x.sum()
     enc = params.enc
     z1 = _softplus(enc["W1"] @ h + enc["b1"])
@@ -184,66 +178,13 @@ def doc_log_likelihood(params: ModelParams, doc: Document, x: np.ndarray,
     if log_beta is None:
         log_beta = log_topic_word_matrix(params)
     log_theta = x - logsumexp(x)
-    ids = np.fromiter(doc.counts.keys(), dtype=np.int64)
-    n = np.fromiter(doc.counts.values(), dtype=float)
-    log_p = logsumexp(log_theta[:, None] + log_beta[:, ids], axis=0)
-    return float(n @ log_p)
+    counts = doc_term_matrix([doc], params.n_vocab)
+    log_p = logsumexp(log_theta[:, None] + log_beta[:, counts.indices], axis=0)
+    return float(counts.data @ log_p)
 
 
 def _noise(seed: int, n_docs: int, n_topics: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n_docs, n_topics))
-
-
-def _count_matrix(docs: list[Document], n_vocab: int) -> np.ndarray:
-    out = np.zeros((len(docs), n_vocab))
-    for j, doc in enumerate(docs):
-        ids = np.fromiter(doc.counts.keys(), dtype=np.int64)
-        out[j, ids] = np.fromiter(doc.counts.values(), dtype=float)
-    return out
-
-
-def _prior_means(params: ModelParams, doc_ids) -> np.ndarray:
-    m0 = np.zeros((len(doc_ids), params.n_topics))
-    if params.kind == "modified":
-        for j, d in enumerate(doc_ids):
-            m0[j, params.assignment[d]] = np.exp(params.log_lambda[d])
-    return m0
-
-
-def _chunk_size(params: ModelParams) -> int:
-    # keep the (chunk, topics, vocab) responsibility tensor around 4M floats
-    return max(1, 4_000_000 // (params.n_topics * params.n_vocab))
-
-
-def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int,
-                   kl_weight: float = 1.0) -> float:
-    """Single-sample reparameterized ELBO summed over the batch.
-
-    `kl_weight` < 1 gives the annealed objective used early in training.
-    """
-    eps = _noise(seed, len(docs), params.n_topics)
-    log_beta = log_topic_word_matrix(params)
-    enc = params.enc
-    total = 0.0
-    step = _chunk_size(params)
-    for lo in range(0, len(docs), step):
-        chunk = docs[lo:lo + step]
-        counts = _count_matrix(chunk, params.n_vocab)
-        hist = counts / counts.sum(axis=1, keepdims=True)
-        z1 = _softplus(hist @ enc["W1"].T + enc["b1"])
-        z2 = _softplus(z1 @ enc["W2"].T + enc["b2"])
-        mean = z2 @ enc["Wm"].T + enc["bm"]
-        log_s = z2 @ enc["Ws"].T + enc["bs"]
-        s = np.exp(log_s)
-        xtil = mean + s * eps[lo:lo + len(chunk)]
-        log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
-        log_p = logsumexp(log_theta[:, :, None] + log_beta[None, :, :], axis=1)
-        total += float((counts * log_p).sum())
-        m0 = _prior_means(params, list(doc_ids)[lo:lo + len(chunk)])
-        kl = (0.5 * ((s * s).sum() + ((mean - m0) ** 2).sum()
-                     - params.n_topics * len(chunk)) - log_s.sum())
-        total -= kl_weight * float(kl)
-    return total
 
 
 def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
@@ -259,121 +200,113 @@ def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
     return blocks
 
 
+def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
+             kl_weight: float):
+    """Batched single-sample ELBO over the (nnz, #T) support of the batch.
+
+    Only the words a document contains enter its likelihood (Dieng, Ruiz &
+    Blei 2020), so words absent from the batch are never touched. Returns the
+    ELBO and a closure that computes its gradients from the cached values.
+    """
+    enc = params.enc
+    x = doc_term_matrix(docs, params.n_vocab)
+    n_docs, nnz = x.shape[0], x.nnz
+    rows = np.repeat(np.arange(n_docs), np.diff(x.indptr))
+    lengths = x.sum(axis=1).A1
+    hist = sp.csr_matrix((x.data / lengths[rows], x.indices, x.indptr), shape=x.shape)
+    ids = np.asarray(doc_ids, dtype=np.int64)
+    eps = _noise(seed, n_docs, params.n_topics)
+
+    a1 = hist @ enc["W1"].T + enc["b1"]
+    z1 = _softplus(a1)
+    a2 = z1 @ enc["W2"].T + enc["b2"]
+    z2 = _softplus(a2)
+    mean = z2 @ enc["Wm"].T + enc["bm"]
+    log_s = z2 @ enc["Ws"].T + enc["bs"]
+    s = np.exp(log_s)
+    xtil = mean + s * eps
+    log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
+    log_beta = log_topic_word_matrix(params)
+    log_joint = log_theta[rows] + log_beta[:, x.indices].T
+    log_p = logsumexp(log_joint, axis=1)
+
+    m0 = np.zeros_like(mean)
+    if params.kind == "modified":
+        topic = params.assignment[ids]
+        lam = np.exp(params.log_lambda[ids])
+        m0[np.arange(n_docs), topic] = lam
+    kl = 0.5 * ((s * s).sum() + ((mean - m0) ** 2).sum() - mean.size) - log_s.sum()
+    elbo = float(x.data @ log_p) - kl_weight * float(kl)
+
+    def backward() -> dict[str, np.ndarray]:
+        # responsibilities n_{d,w} p(t | w, d), summed per document and per word
+        resp = x.data[:, None] * np.exp(log_joint - log_p[:, None])
+        r = sp.csr_matrix((np.ones(nnz), np.arange(nnz), x.indptr), shape=(n_docs, nnz)) @ resp
+        r_word = sp.csc_matrix((np.ones(nnz), x.indices, np.arange(nnz + 1)),
+                               shape=(params.n_vocab, nnz)) @ resp
+
+        # softmax backprop for theta, then heads and KL terms
+        d_xtil = r - np.exp(log_theta) * lengths[:, None]
+        d_m = d_xtil + kl_weight * (m0 - mean)
+        d_log_s = d_xtil * s * eps + kl_weight * (1.0 - s * s)
+        grads = {}
+        d_z2 = d_m @ enc["Wm"] + d_log_s @ enc["Ws"]
+        grads["enc.Wm"] = d_m.T @ z2
+        grads["enc.bm"] = d_m.sum(axis=0)
+        grads["enc.Ws"] = d_log_s.T @ z2
+        grads["enc.bs"] = d_log_s.sum(axis=0)
+        d_a2 = d_z2 * expit(a2)
+        grads["enc.W2"] = d_a2.T @ z1
+        grads["enc.b2"] = d_a2.sum(axis=0)
+        d_a1 = (d_a2 @ enc["W2"]) * expit(a1)
+        grads["enc.W1"] = d_a1.T @ hist
+        grads["enc.b1"] = d_a1.sum(axis=0)
+
+        d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
+        if params.kind == "etm":
+            e_t = params.topic_emb
+            grads["topic_emb"] = d_logits @ params.word_emb
+        else:
+            xi = params.xi
+            h1 = np.tanh(params.centres @ xi["W1"].T + xi["b1"])
+            e_t = h1 @ xi["W2"].T + xi["b2"]
+            d_e = d_logits @ params.word_emb
+            grads["xi.W2"] = d_e.T @ h1
+            grads["xi.b2"] = d_e.sum(axis=0)
+            d_a = (d_e @ xi["W2"]) * (1.0 - h1 * h1)
+            grads["xi.W1"] = d_a.T @ params.centres
+            grads["xi.b1"] = d_a.sum(axis=0)
+            grads["log_lambda"] = np.bincount(
+                ids, weights=kl_weight * lam * (mean[np.arange(n_docs), topic] - lam),
+                minlength=params.log_lambda.size)
+        if not params.freeze_word_emb:
+            grads["word_emb"] = d_logits.T @ e_t
+        return {name: grads[name] for name in trainable_blocks(params)}
+
+    return elbo, backward
+
+
+def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int,
+                   kl_weight: float = 1.0) -> float:
+    """Single-sample reparameterized ELBO summed over the batch.
+
+    `kl_weight` < 1 gives the annealed objective used early in training.
+    """
+    return _forward(params, docs, doc_ids, seed, kl_weight)[0]
+
+
 def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
                   kl_weight: float = 1.0):
     """ELBO value and its gradients at the same noise draw, in one pass.
 
     Returns (elbo, grads) where grads has one array per trainable block.
     """
-    n_t, n_v = params.n_topics, params.n_vocab
-    eps = _noise(seed, len(docs), n_t)
-    enc = params.enc
-    doc_ids = list(doc_ids)
-
-    # shared topic-word forward with caches
-    if params.kind == "etm":
-        logits = params.topic_emb @ params.word_emb.T
-    else:
-        xi = params.xi
-        h1 = np.tanh(params.centres @ xi["W1"].T + xi["b1"])
-        e_t = h1 @ xi["W2"].T + xi["b2"]
-        logits = e_t @ params.word_emb.T + params.log_g0[None, :]
-    log_beta = logits - logsumexp(logits, axis=1, keepdims=True)
-    beta = np.exp(log_beta)
-
-    grads = {name: np.zeros_like(arr) for name, arr in trainable_blocks(params).items()}
-    d_logits_support = np.zeros((n_t, n_v))  # responsibility part of d(logits)
-    r_sum = np.zeros(n_t)
-    elbo = 0.0
-
-    step = _chunk_size(params)
-    for lo in range(0, len(docs), step):
-        chunk = docs[lo:lo + step]
-        ids = doc_ids[lo:lo + len(chunk)]
-        e = eps[lo:lo + len(chunk)]
-        counts = _count_matrix(chunk, n_v)
-        lengths = counts.sum(axis=1, keepdims=True)
-        hist = counts / lengths
-        a1 = hist @ enc["W1"].T + enc["b1"]
-        z1 = _softplus(a1)
-        a2 = z1 @ enc["W2"].T + enc["b2"]
-        z2 = _softplus(a2)
-        mean = z2 @ enc["Wm"].T + enc["bm"]
-        log_s = z2 @ enc["Ws"].T + enc["bs"]
-        s = np.exp(log_s)
-        xtil = mean + s * e
-
-        log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
-        theta = np.exp(log_theta)
-        # responsibilities: R[j, t, w] = n_{j,w} * p(t | w, doc j), stable in log space
-        log_joint = log_theta[:, :, None] + log_beta[None, :, :]
-        log_p = logsumexp(log_joint, axis=1)
-        elbo += float((counts * log_p).sum())
-        resp = counts[:, None, :] * np.exp(log_joint - log_p[:, None, :])
-        r = resp.sum(axis=2)
-        d_logits_support += resp.sum(axis=0)
-        r_sum += r.sum(axis=0)
-
-        # softmax backprop for theta, then heads and KL terms
-        d_xtil = r - theta * lengths
-        m0 = _prior_means(params, ids)
-        elbo -= kl_weight * float(
-            0.5 * ((s * s).sum() + ((mean - m0) ** 2).sum() - n_t * len(chunk))
-            - log_s.sum())
-        d_m = d_xtil + kl_weight * (m0 - mean)
-        d_log_s = d_xtil * s * e + kl_weight * (1.0 - s * s)
-        if params.kind == "modified":
-            for j, d in enumerate(ids):
-                lam = np.exp(params.log_lambda[d])
-                grads["log_lambda"][d] += kl_weight * lam * (
-                    mean[j, params.assignment[d]] - lam)
-
-        d_z2 = d_m @ enc["Wm"] + d_log_s @ enc["Ws"]
-        grads["enc.Wm"] += d_m.T @ z2
-        grads["enc.bm"] += d_m.sum(axis=0)
-        grads["enc.Ws"] += d_log_s.T @ z2
-        grads["enc.bs"] += d_log_s.sum(axis=0)
-        d_a2 = d_z2 * expit(a2)
-        grads["enc.W2"] += d_a2.T @ z1
-        grads["enc.b2"] += d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ enc["W2"]) * expit(a1)
-        grads["enc.W1"] += d_a1.T @ hist
-        grads["enc.b1"] += d_a1.sum(axis=0)
-
-    d_logits = d_logits_support - beta * r_sum[:, None]
-    if params.kind == "etm":
-        grads["topic_emb"] += d_logits @ params.word_emb
-        if not params.freeze_word_emb:
-            grads["word_emb"] += d_logits.T @ params.topic_emb
-    else:
-        d_e = d_logits @ params.word_emb
-        if not params.freeze_word_emb:
-            grads["word_emb"] += d_logits.T @ e_t
-        grads["xi.W2"] += d_e.T @ h1
-        grads["xi.b2"] += d_e.sum(axis=0)
-        d_a = (d_e @ params.xi["W2"]) * (1.0 - h1 * h1)
-        grads["xi.W1"] += d_a.T @ params.centres
-        grads["xi.b1"] += d_a.sum(axis=0)
-    return elbo, grads
-
-
-def grad_elbo(params: ModelParams, docs: list[Document], doc_ids, seed: int,
-              kl_weight: float = 1.0) -> dict[str, np.ndarray]:
-    """Gradients of elbo_minibatch at the same noise draw, one array per trainable block."""
-    return elbo_and_grad(params, docs, doc_ids, seed, kl_weight)[1]
+    elbo, backward = _forward(params, docs, doc_ids, seed, kl_weight)
+    return elbo, backward()
 
 
 def infer_doc_topics(params: ModelParams, doc: Document) -> np.ndarray:
     return _softmax(encode(params, doc).mean)
-
-
-def top_words(params: ModelParams, t: int, n: int, log_beta: np.ndarray | None = None):
-    """(word-id, probability) pairs for the n most probable words, ties by id."""
-    if log_beta is None:
-        log_beta = log_topic_word_matrix(params)
-    p = np.exp(log_beta[t])
-    order = np.lexsort((np.arange(p.size), -p))[:n]
-    return [(int(v), float(p[v])) for v in order]
 
 
 # ---------------------------------------------------------------------------

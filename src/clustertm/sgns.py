@@ -98,10 +98,11 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
         epoch_loss = 0.0
         epoch_pairs = 0
         for toks in docs:
-            sent = toks[rng.random(len(toks)) < keep[toks]]
+            # the schedule advances per token read, subsampled or not, as in word2vec
+            read = np.flatnonzero(rng.random(len(toks)) < keep[toks])
+            sent = toks[read]
             for pos, center in enumerate(sent):
-                lr = max(config.lr_min, config.lr0 * (1.0 - step / total_steps))
-                step += 1
+                lr = max(config.lr_min, config.lr0 * (1.0 - (step + read[pos]) / total_steps))
                 b = int(rng.integers(1, config.window + 1))
                 lo, hi = max(0, pos - b), min(len(sent), pos + b + 1)
                 for cpos in range(lo, hi):
@@ -115,6 +116,7 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
                         w_out[idx] -= lr * g
                     epoch_loss += loss
                     epoch_pairs += 1
+            step += len(toks)
         if report is not None:
             report.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
 

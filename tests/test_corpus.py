@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clustertm.corpus import (Corpus, CorpusError, Document, PreprocessOptions,
-                              Vocabulary, compute_g0, load_corpus, preprocess,
-                              read_texts, save_corpus, tokenize)
+                              Vocabulary, compute_g0, doc_term_matrix, load_corpus,
+                              preprocess, read_texts, save_corpus, tokenize)
 from conftest import make_corpus
 
 
@@ -81,8 +81,22 @@ def test_g0_invariants_on_random_corpus():
 
 def test_document_counts_match_length():
     doc = Document([3, 1, 3, 3])
-    assert doc.counts == {3: 3, 1: 1}
-    assert doc.length == 4
+    counts = doc_term_matrix([doc], 5)
+    assert counts.toarray().tolist() == [[0.0, 1.0, 0.0, 3.0, 0.0]]
+    assert counts.sum() == doc.length == 4
+
+
+def test_doc_term_matrix_hand_counted():
+    x = doc_term_matrix([Document([2, 0, 2]), Document([1]), Document([])], 3)
+    assert x.shape == (3, 3)
+    assert x.toarray().tolist() == [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    assert x.indices.tolist() == [0, 2, 1]  # sorted within each row
+
+
+def test_doc_term_matrix_rejects_ids_outside_vocabulary():
+    for bad in ([-1, 0], [0, 3]):
+        with pytest.raises(CorpusError):
+            doc_term_matrix([Document(bad)], 3)
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -100,6 +114,19 @@ def test_load_corpus_malformed_file(tmp_path):
     path.write_text("{not json", "utf-8")
     with pytest.raises(CorpusError):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("docs,g0", [
+    ([[0, -1]], [0.5, 0.5]),  # negative id
+    ([[0, 2]], [0.5, 0.5]),  # id past the vocabulary
+    ([[0, 1, 1]], [0.5, 0.5]),  # g0 that is not the documents' frequency
+])
+def test_load_corpus_rejects_inconsistent_content(tmp_path, docs, g0):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": ["a", "b"], "docs": docs, "g0": g0}), "utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert "\n" not in str(err.value)
 
 
 def test_read_texts_directory_and_jsonl(tmp_path):

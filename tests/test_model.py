@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clustertm import model
+from clustertm import metrics, model
 from clustertm.corpus import Document
 from conftest import make_corpus, rel_err
 
@@ -35,7 +35,7 @@ def random_docs(n_docs=5, n_vocab=20, seed=0):
 def test_topic_word_dist_zero_topic_vector_is_uniform():
     p = etm_params()
     p.topic_emb[0] = 0.0
-    dist = model.topic_word_dist(p, 0)
+    dist = np.exp(model.log_topic_word_matrix(p)[0])
     assert np.allclose(dist, 1.0 / p.n_vocab, atol=1e-12)
 
 
@@ -43,21 +43,21 @@ def test_topic_word_dist_hand_softmax():
     p = etm_params(n_vocab=2, emb_dim=1)
     p.word_emb[:] = [[0.0], [np.log(3.0)]]
     p.topic_emb[0] = [1.0]  # logits (0, ln 3)
-    assert np.allclose(model.topic_word_dist(p, 0), [0.25, 0.75], atol=1e-12)
+    assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), [0.25, 0.75], atol=1e-12)
 
 
 def test_topic_word_dist_shift_invariant():
     p = etm_params(emb_dim=3)
-    base = model.topic_word_dist(p, 1)
+    base = np.exp(model.log_topic_word_matrix(p)[1])
     p.word_emb += 1.0  # adds topic_emb[1].sum() to every logit of topic 1
-    shifted = model.topic_word_dist(p, 1)
+    shifted = np.exp(model.log_topic_word_matrix(p)[1])
     assert np.allclose(base, shifted, atol=1e-9)
 
 
 def test_topic_word_dist_is_probability_vector():
     for p in (etm_params(seed=3), modified_params(seed=3)):
         for t in range(p.n_topics):
-            dist = model.topic_word_dist(p, t)
+            dist = np.exp(model.log_topic_word_matrix(p)[t])
             assert (dist >= 0).all()
             assert abs(dist.sum() - 1.0) < 1e-9
 
@@ -71,7 +71,7 @@ def test_topic_embedding_modified_zero_final_layer():
     emb = model.topic_embedding_modified(p)
     assert np.abs(emb).max() == 0.0
     for t in range(p.n_topics):
-        assert np.abs(model.modified_word_dist(p, t) - np.exp(p.log_g0)).max() < 1e-12
+        assert np.abs(np.exp(model.log_topic_word_matrix(p)[t]) - np.exp(p.log_g0)).max() < 1e-12
 
 
 def test_topic_embedding_modified_permutes_with_centres():
@@ -95,7 +95,7 @@ def test_modified_word_dist_uniform_g0_equals_etm_form():
     logits = e_t[0] @ p.word_emb.T
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
-    assert np.allclose(model.modified_word_dist(p, 0), expected, atol=1e-12)
+    assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), expected, atol=1e-12)
 
 
 def test_modified_word_dist_hand_computation():
@@ -107,12 +107,12 @@ def test_modified_word_dist_hand_computation():
     p.xi["W2"][:] = 0.0
     p.xi["b2"][:] = [np.log(3.0)]
     p.log_g0 = np.log([0.75, 0.25])
-    assert np.allclose(model.modified_word_dist(p, 0), [0.5, 0.5], atol=1e-12)
+    assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), [0.5, 0.5], atol=1e-12)
 
 
-def test_modified_word_dist_requires_modified_kind():
+def test_topic_embedding_modified_requires_modified_kind():
     with pytest.raises(model.ModelError):
-        model.modified_word_dist(etm_params(), 0)
+        model.topic_embedding_modified(etm_params())
 
 
 # ------------------------------------------------------------------ encoder
@@ -307,7 +307,7 @@ def test_grad_elbo_finite_differences_annealed():
 
 def test_grad_elbo_frozen_word_embeddings():
     p = etm_params(seed=14, freeze=True)
-    grads = model.grad_elbo(p, random_docs(seed=10), range(5), seed=3)
+    _, grads = model.elbo_and_grad(p, random_docs(seed=10), range(5), seed=3)
     assert "word_emb" not in grads
 
 
@@ -315,12 +315,27 @@ def test_grad_log_lambda_closed_form():
     p = modified_params(seed=15)
     docs = random_docs(seed=11)
     seed = 29
-    grads = model.grad_elbo(p, docs, range(5), seed=seed)
+    _, grads = model.elbo_and_grad(p, docs, range(5), seed=seed)
     for d, doc in enumerate(docs):
         m = model.encode(p, doc).mean
         lam = np.exp(p.log_lambda[d])
         expected = lam * (m[p.assignment[d]] - lam)
         assert abs(grads["log_lambda"][d] - expected) < 1e-10
+
+
+def test_elbo_and_grad_finite_with_unseen_zero_frequency_word():
+    # word 0 has g0 = 0 and occurs in no document: log p(0|t) = -inf, which the
+    # likelihood must never multiply by a zero count
+    p = modified_params(n_vocab=6, seed=16)
+    g0 = np.array([0.0, 0.3, 0.2, 0.2, 0.2, 0.1])
+    with np.errstate(divide="ignore"):
+        p.log_g0 = np.log(g0)
+    docs = [Document(tokens=[1, 2, 2, 5]), Document(tokens=[3, 4, 1])]
+    value, grads = model.elbo_and_grad(p, docs, [0, 1], seed=4)
+    assert np.isfinite(value)
+    assert value == model.elbo_minibatch(p, docs, [0, 1], seed=4)
+    for name, g in grads.items():
+        assert np.isfinite(g).all(), name
 
 
 # ------------------------------------------------------- inference and tops
@@ -341,7 +356,8 @@ def test_infer_doc_topics_hand_softmax():
 
 def test_top_words_full_vocabulary_sorted():
     p = etm_params(seed=16)
-    pairs = model.top_words(p, 0, p.n_vocab)
+    topic_word = np.exp(model.log_topic_word_matrix(p))
+    pairs = metrics.top_words_from_matrix(topic_word, p.n_vocab)[0]
     probs = [pr for _, pr in pairs]
     assert probs == sorted(probs, reverse=True)
     assert sorted(w for w, _ in pairs) == list(range(p.n_vocab))
@@ -350,14 +366,13 @@ def test_top_words_full_vocabulary_sorted():
 def test_top_words_tie_break_by_id():
     p = etm_params()
     p.topic_emb[0] = 0.0  # uniform distribution
-    pairs = model.top_words(p, 0, 4)
+    topic_word = np.exp(model.log_topic_word_matrix(p))
+    pairs = metrics.top_words_from_matrix(topic_word, 4)[0]
     assert [w for w, _ in pairs] == [0, 1, 2, 3]
 
 
 def test_top_words_hand_sorted():
-    log_beta = np.log(np.array([[0.4, 0.3, 0.2, 0.1]]))
-    p = etm_params(n_vocab=4)
-    pairs = model.top_words(p, 0, 2, log_beta=log_beta)
+    pairs = metrics.top_words_from_matrix(np.array([[0.4, 0.3, 0.2, 0.1]]), 2)[0]
     assert [w for w, _ in pairs] == [0, 1]
     assert np.allclose([pr for _, pr in pairs], [0.4, 0.3], atol=1e-12)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clustertm import sgns
 from clustertm.sgns import (EmbeddingMatrix, SgnsConfig, SgnsError,
                             load_embeddings, pretrain, save_embeddings,
                             sgns_loss_and_grad)
@@ -107,3 +108,22 @@ def test_embeddings_roundtrip(tmp_path):
     back = load_embeddings(path)
     assert back.words == emb.words
     assert np.abs(back.vectors - emb.vectors).max() < 1e-6
+
+
+def test_learning_rate_decays_to_lr_min_under_subsampling(monkeypatch):
+    # A unit gradient makes each step move w_in[center] by exactly -lr, so the
+    # last step size is read off the input vector. The schedule runs over
+    # every token read; counting only subsampling survivors (about one in
+    # ten here) leaves the last step near 0.9 * lr0.
+    seen = []
+
+    def unit_gradient(center, context, negatives, w_in, w_out):
+        seen.append(w_in[center, 0])
+        return 0.0, np.ones(w_in.shape[1]), {}
+
+    monkeypatch.setattr(sgns, "sgns_loss_and_grad", unit_gradient)
+    corpus = make_corpus([[0] * 200 for _ in range(50)], words=["a"])
+    config = SgnsConfig(epochs=1, subsample=0.01)
+    emb = pretrain(corpus, 2, config, seed=0)
+    last_lr = seen[-1] - emb.vectors[0, 0]
+    assert abs(last_lr - config.lr_min) < 0.1 * config.lr_min
