@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
     Corpus, Document, PreprocessOptions, Vocabulary,
-    compute_g0, doc_term_matrix, load_corpus, preprocess, save_corpus,
+    doc_term_matrix, load_corpus, preprocess, save_corpus,
 )
 from .sgns import EmbeddingMatrix, SgnsConfig, load_embeddings, pretrain, save_embeddings  # noqa: F401
 from .cluster import ClusterModel, cluster_corpus, kmeans, vectorize_documents  # noqa: F401

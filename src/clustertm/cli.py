@@ -70,6 +70,9 @@ def cmd_train(args) -> None:
     overrides = _load_config_file(args.config) if args.config else {}
 
     if args.model == "lda":
+        unknown = sorted(set(overrides) - {"n_topics", "sweeps"})
+        if unknown:
+            raise lda_baseline.LdaError(f"--model lda does not read {', '.join(unknown)} from --config")
         n_topics = args.topics or overrides.get("n_topics", 50)
         state = lda_baseline.fit_lda(corpus, n_topics,
                                      sweeps=overrides.get("sweeps", 1000), seed=args.seed)

@@ -59,15 +59,19 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centres
 
 
+def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centre: argmin of |c|^2 - 2 x.c (|x|^2 is common to a row)."""
+    return np.argmin(np.einsum("ij,ij->i", centres, centres) - 2.0 * points @ centres.T, axis=1)
+
+
 def _lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
     labels = None
     history = []
     for _ in range(max_iter):
-        dists = np.sum((points[:, None, :] - centres[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        history.append(float(dists[np.arange(len(points)), new_labels].sum()))
+        new_labels = _nearest(points, centres)
+        history.append(float(np.sum((points - centres[new_labels]) ** 2, axis=1).sum()))
         if labels is not None and np.array_equal(new_labels, labels):
-            break
+            return centres, new_labels, history[-1], history  # centres unchanged since labelled
         labels = new_labels
         for j in range(centres.shape[0]):
             members = points[labels == j]
@@ -79,9 +83,8 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
                 logger.info("kmeans: re-seeding empty cluster %d to point %d", j, far)
                 centres[j] = points[far]
                 labels[far] = j
-    dists = np.sum((points[:, None, :] - centres[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(dists, axis=1)
-    inertia = float(dists[np.arange(len(points)), labels].sum())
+    labels = _nearest(points, centres)  # max_iter reached: label against the last update
+    inertia = float(np.sum((points - centres[labels]) ** 2, axis=1).sum())
     return centres, labels, inertia, history
 
 
@@ -106,14 +109,14 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
     best = None
     for _ in range(n_restarts):
         init = _kmeans_pp_init(sorted_points, k, rng)
-        centres, _, inertia, history = _lloyd(sorted_points, init, max_iter)
-        if best is None or inertia < best[1]:
-            best = (centres, inertia, history)
+        centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, max_iter)
+        if best is None or inertia < best[2]:
+            best = (centres, sorted_labels, inertia, history)
 
-    centres, inertia, history = best
-    dists = np.sum((points[:, None, :] - centres[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(dists, axis=1)
-    return ClusterModel(centres, labels.astype(np.int64), representation, inertia, history)
+    centres, sorted_labels, inertia, history = best
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = sorted_labels
+    return ClusterModel(centres, labels, representation, inertia, history)
 
 
 def cluster_corpus(corpus: Corpus, n_clusters: int, embeddings: EmbeddingMatrix | None = None,

@@ -107,11 +107,19 @@ def doc_term_matrix(documents: list[Document], n_vocab: int) -> sp.csr_matrix:
 class Corpus:
     documents: list[Document]
     vocabulary: Vocabulary
-    g0: np.ndarray
     doc_term: sp.csr_matrix = field(init=False, repr=False)  # built once from the documents
+    g0: np.ndarray = field(init=False)  # relative frequency of each word over all tokens
 
     def __post_init__(self):
         self.doc_term = doc_term_matrix(self.documents, self.vocabulary.size)
+        empty = np.flatnonzero(np.diff(self.doc_term.indptr) == 0)
+        if empty.size:
+            raise CorpusError(f"document {empty[0]} has no tokens")
+        counts = self.doc_term.sum(axis=0).A1
+        total = counts.sum()
+        if total == 0:
+            raise CorpusError("cannot compute background frequencies over zero tokens")
+        self.g0 = counts / total
 
     @property
     def n_docs(self) -> int:
@@ -130,7 +138,6 @@ class Corpus:
             isinstance(other, Corpus)
             and self.documents == other.documents
             and self.vocabulary == other.vocabulary
-            and np.allclose(self.g0, other.g0, rtol=0, atol=1e-12)
         )
 
 
@@ -143,15 +150,6 @@ def tokenize(text: str) -> list[str]:
             continue
         out.append(tok)
     return out
-
-
-def compute_g0(documents: list[Document], vocabulary: Vocabulary) -> np.ndarray:
-    """Relative frequency of each word over the whole token stream."""
-    counts = doc_term_matrix(documents, vocabulary.size).sum(axis=0).A1
-    total = counts.sum()
-    if total == 0:
-        raise CorpusError("cannot compute background frequencies over zero tokens")
-    return counts / total
 
 
 def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) -> Corpus:
@@ -185,7 +183,7 @@ def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) ->
 
     vocab = Vocabulary(sorted(kept))
     documents = [Document([vocab.index[t] for t in toks]) for toks in token_docs]
-    return Corpus(documents, vocab, compute_g0(documents, vocab))
+    return Corpus(documents, vocab)
 
 
 def read_texts(path) -> list[str]:
@@ -230,10 +228,10 @@ def load_corpus(path) -> Corpus:
     if g0.shape != (vocab.size,):
         raise CorpusError(f"{path}: g0 length {g0.shape} does not match vocabulary {vocab.size}")
     try:
-        corpus = Corpus(docs, vocab, g0)
-        drift = np.abs(g0 - compute_g0(docs, vocab)).max()
+        corpus = Corpus(docs, vocab)
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e
+    drift = np.abs(g0 - corpus.g0).max()
     if not drift <= 1e-12:
         raise CorpusError(f"{path}: stored g0 differs from the document counts by {drift:.3g}")
     return corpus

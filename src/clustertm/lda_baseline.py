@@ -50,6 +50,10 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: flo
         raise LdaError("n_topics must be >= 1")
     if alpha is None:
         alpha = 50.0 / n_topics
+    if not (isinstance(sweeps, (int, np.integer)) and sweeps >= 0):
+        raise LdaError(f"sweeps must be an integer >= 0, got {sweeps!r}")
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):  # also rejects NaN
+        raise LdaError(f"alpha and beta must be finite and > 0, got {alpha!r} and {beta!r}")
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs
     docs = [np.asarray(d.tokens, dtype=np.int64) for d in corpus.documents]

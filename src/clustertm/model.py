@@ -355,24 +355,28 @@ def save_checkpoint(params: ModelParams, path, cluster_hash: str = "") -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(hlen).decode("utf-8"))
-        if meta.get("format") != "clustertm-ckpt-v1":
+    """Parameters and header of a checkpoint; a truncated or garbled file raises ModelError."""
+    data = Path(path).read_bytes()
+    try:
+        (hlen,) = struct.unpack_from("<Q", data)
+        meta = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+        if not isinstance(meta, dict) or meta.get("format") != "clustertm-ckpt-v1":
             raise ModelError(f"{path}: not a clustertm checkpoint")
-        arrays = {}
+        arrays, offset = {}, 8 + hlen
         for spec in meta["arrays"]:
             shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
-            buf = f.read(int(np.prod(shape)) * dtype.itemsize)
-            arrays[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-
-    enc = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("enc.")}
-    xi = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("xi.")} or None
-    params = ModelParams(
-        meta["kind"], arrays["word_emb"], enc,
-        topic_emb=arrays.get("topic_emb"), xi=xi,
-        log_lambda=arrays.get("log_lambda"), centres=arrays.get("centres"),
-        log_g0=arrays.get("log_g0"), assignment=arrays.get("assignment"),
-        freeze_word_emb=bool(meta["freeze_word_emb"]),
-    )
+            count = int(np.prod(shape))
+            arrays[spec["name"]] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+            offset += count * dtype.itemsize
+        enc = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("enc.")}
+        xi = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("xi.")} or None
+        params = ModelParams(
+            meta["kind"], arrays["word_emb"], enc,
+            topic_emb=arrays.get("topic_emb"), xi=xi,
+            log_lambda=arrays.get("log_lambda"), centres=arrays.get("centres"),
+            log_g0=arrays.get("log_g0"), assignment=arrays.get("assignment"),
+            freeze_word_emb=bool(meta["freeze_word_emb"]),
+        )
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise ModelError(f"{path}: truncated or malformed checkpoint ({e!r})") from e
     return params, meta

@@ -31,7 +31,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 512
     learning_rate: float = 2e-3
-    optimizer: str = "adam"
     weight_decay: float = 1.2e-6  # encoder weights only
     grad_clip: float = 5.0
     kl_anneal_epochs: int = 0  # 0 disables annealing
@@ -48,8 +47,6 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -85,15 +82,6 @@ class Adam:
             mhat = self.m[name] / (1 - self.beta1 ** self.t)
             vhat = self.v[name] / (1 - self.beta2 ** self.t)
             blocks[name] += self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, blocks, grads):
-        for name, g in grads.items():
-            blocks[name] += self.lr * g
 
 
 _DECAYED = ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws")
@@ -136,7 +124,7 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed + 1)
     batch = min(config.batch_size, corpus.n_docs)
-    opt = Adam(config.learning_rate) if config.optimizer == "adam" else Sgd(config.learning_rate)
+    opt = Adam(config.learning_rate)
     report = TrainReport()
     t0 = time.monotonic()
     step_seed = config.seed * 1_000_003

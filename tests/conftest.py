@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from clustertm.corpus import Corpus, Document, Vocabulary, compute_g0
+from clustertm.corpus import Corpus, Document, Vocabulary
 
 # One "PASS/FAIL criterion N: ..." line per acceptance check, echoed at the end
 # of the run where pytest's capture cannot hide them.
@@ -26,7 +26,7 @@ def make_corpus(list_of_token_lists, words=None):
         n_vocab = max(max(t) for t in list_of_token_lists) + 1
         words = [f"w{i:03d}" for i in range(n_vocab)]
     vocab = Vocabulary(words=list(words))
-    return Corpus(vocabulary=vocab, documents=docs, g0=compute_g0(docs, vocab))
+    return Corpus(vocabulary=vocab, documents=docs)
 
 
 def make_planted(seed, n_docs=500, n_vocab=200, n_topics=5, n_common=10,
@@ -58,7 +58,7 @@ def make_planted(seed, n_docs=500, n_vocab=200, n_topics=5, n_common=10,
         z = rng.choice(n_topics, size=length, p=theta)
         docs.append(Document(tokens=[int(rng.choice(n_vocab, p=beta[t])) for t in z]))
     vocab = Vocabulary(words=[f"w{i:03d}" for i in range(n_vocab)])
-    return Corpus(vocabulary=vocab, documents=docs, g0=compute_g0(docs, vocab)), beta
+    return Corpus(vocabulary=vocab, documents=docs), beta
 
 
 def aligned_purity(top_ids, true_topic_word, n=10):

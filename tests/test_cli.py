@@ -36,6 +36,17 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cluster_rejects_corpus_with_empty_document(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": ["a", "b", "c"], "docs": [[0, 1], [], [2, 2, 0]],
+                                "g0": [0.4, 0.2, 0.4]}), "utf-8")
+    out = tmp_path / "clusters.json"
+    assert run(["cluster", path, out, "--k", 2]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "document 1" in err[0]
+    assert not out.exists()
+
+
 def test_preprocess_writes_corpus_and_manifest(texts_dir, tmp_path):
     out = tmp_path / "corpus.json"
     assert run(["preprocess", texts_dir, out, "--min-freq", 2]) == 0
@@ -96,6 +107,35 @@ def test_train_lda_writes_topics_json_evaluable(texts_dir, tmp_path):
     assert run(["eval", corpus, topics, report, "--n", 3]) == 0
     payload = json.loads(topics.read_text("utf-8"))
     assert len(payload["topics"]) == 2
+
+
+def test_eval_rejects_truncated_checkpoint(texts_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    ckpt = tmp_path / "model.ckpt"
+    run(["train", corpus, ckpt, "--model", "etm", "--topics", 2,
+         "--config", write_config(tmp_path, epochs=1, emb_dim=4, hidden=8)])
+    data = ckpt.read_bytes()
+    for cut in (len(data) - 1, 20):  # inside the last array, inside the header
+        ckpt.write_bytes(data[:cut])
+        capsys.readouterr()
+        assert run(["eval", corpus, ckpt, tmp_path / "report.json"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ModelError:")
+
+
+@pytest.mark.parametrize("config, named", [({"alpha": 0.3, "beta": 0.05, "sweeps": 2}, "alpha, beta"),
+                                           ({"sweeps": -1}, "sweeps")])
+def test_train_lda_rejects_unread_or_invalid_config(texts_dir, tmp_path, capsys, config, named):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    topics = tmp_path / "lda_topics.json"
+    capsys.readouterr()
+    assert run(["train", corpus, topics, "--model", "lda", "--topics", 2,
+                "--config", write_config(tmp_path, **config)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: LdaError:") and named in err[0]
+    assert not topics.exists()
 
 
 def test_topics_command_prints_words(texts_dir, tmp_path, capsys):

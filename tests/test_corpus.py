@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustertm.corpus import (Corpus, CorpusError, Document, PreprocessOptions,
-                              Vocabulary, compute_g0, doc_term_matrix, load_corpus,
+                              Vocabulary, doc_term_matrix, load_corpus,
                               preprocess, read_texts, save_corpus, tokenize)
 from conftest import make_corpus
 
@@ -63,10 +63,10 @@ def test_preprocess_idempotent_on_own_output():
 
 
 def test_compute_g0_hand_counted():
-    assert compute_g0([Document([0, 0, 1])],
-                      Vocabulary(["a", "b"])).tolist() == [2 / 3, 1 / 3]
-    assert compute_g0([Document([0])], Vocabulary(["a"])).tolist() == [1.0]
-    g0 = compute_g0([Document([0]), Document([1, 1, 1])], Vocabulary(["a", "b"]))
+    assert Corpus([Document([0, 0, 1])],
+                  Vocabulary(["a", "b"])).g0.tolist() == [2 / 3, 1 / 3]
+    assert Corpus([Document([0])], Vocabulary(["a"])).g0.tolist() == [1.0]
+    g0 = Corpus([Document([0]), Document([1, 1, 1])], Vocabulary(["a", "b"])).g0
     assert g0.tolist() == [0.25, 0.75]
 
 

@@ -65,6 +65,13 @@ def test_rejects_bad_topic_count():
         fit_lda(make_corpus([[0]]), 0)
 
 
+@pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"alpha": -1.0}, {"alpha": float("nan")},
+                                    {"beta": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5}])
+def test_rejects_bad_hyperparameters(kwargs):
+    with pytest.raises(LdaError):
+        fit_lda(make_corpus([[0, 1], [1]]), 2, **kwargs)
+
+
 def test_topic_word_uniform_when_counts_zero():
     corpus = make_corpus([[0, 1, 2]])
     state = fit_lda(corpus, 2, sweeps=0, seed=0)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -391,3 +394,30 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
         assert meta["cluster_hash"] == "deadbeef"
         for name, arr in model.trainable_blocks(p).items():
             assert np.array_equal(model.trainable_blocks(back)[name], arr)
+
+
+def _damaged_checkpoints(path):
+    """A saved checkpoint cut or garbled in each part of its layout."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data)
+    header = json.loads(data[8 : 8 + hlen])
+    no_arrays = json.dumps({**header, "arrays": []}).encode("utf-8")
+    return {
+        "one byte short": data[:-1],
+        "cut inside the header": data[: 8 + hlen // 2],
+        "short length prefix": data[:5],
+        "garbled header": data[:8] + b"x" + data[9:],
+        "missing array": struct.pack("<Q", len(no_arrays)) + no_arrays,
+    }
+
+
+def test_load_checkpoint_rejects_damaged_file(tmp_path):
+    good = tmp_path / "good.ckpt"
+    model.save_checkpoint(modified_params(seed=21), good)
+    for what, blob in _damaged_checkpoints(good).items():
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        with pytest.raises(model.ModelError) as err:
+            model.load_checkpoint(bad)
+        assert str(bad) in str(err.value), what
+        assert "\n" not in str(err.value), what

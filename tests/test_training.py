@@ -3,7 +3,7 @@ import pytest
 
 from clustertm import model
 from clustertm.cluster import cluster_corpus
-from clustertm.training import (Adam, Sgd, TrainConfig, TrainingError,
+from clustertm.training import (Adam, TrainConfig, TrainingError,
                                 cluster_hash, fit, run_experiment)
 from conftest import make_corpus
 
@@ -31,8 +31,6 @@ def test_config_validation():
         small_config(learning_rate=0.0)
     with pytest.raises(TrainingError):
         small_config(model_kind="lsa")
-    with pytest.raises(TrainingError):
-        small_config(optimizer="rmsprop")
 
 
 def test_modified_requires_clusters():
@@ -90,10 +88,9 @@ def test_optimizer_zero_gradient_is_noop():
     params = model.init_params("etm", 10, 3, 4, 5, hidden=6, seed=0)
     blocks = model.trainable_blocks(params)
     before = {k: v.copy() for k, v in blocks.items()}
-    for opt in (Adam(1e-2), Sgd(1e-2)):
-        opt.step(blocks, zero_grads_like(blocks))
-        for k in blocks:
-            assert np.array_equal(blocks[k], before[k])
+    Adam(1e-2).step(blocks, zero_grads_like(blocks))
+    for k in blocks:
+        assert np.array_equal(blocks[k], before[k])
 
 
 def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
@@ -103,8 +100,8 @@ def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
         return 0.0, zero_grads_like(model.trainable_blocks(params))
 
     monkeypatch.setattr(model, "elbo_and_grad", zero_grad)
-    cfg_plain = small_config(epochs=1, weight_decay=0.0, optimizer="sgd")
-    cfg_decay = small_config(epochs=1, weight_decay=0.1, optimizer="sgd")
+    cfg_plain = small_config(epochs=1, weight_decay=0.0)
+    cfg_decay = small_config(epochs=1, weight_decay=0.1)
     plain, _ = fit(corpus, None, cfg_plain)
     decayed, _ = fit(corpus, None, cfg_decay)
     for name in ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws"):
