@@ -73,7 +73,7 @@ def cmd_train(args) -> None:
         unknown = sorted(set(overrides) - {"n_topics", "sweeps"})
         if unknown:
             raise lda_baseline.LdaError(f"--model lda does not read {', '.join(unknown)} from --config")
-        n_topics = args.topics or overrides.get("n_topics", 50)
+        n_topics = args.topics if args.topics is not None else overrides.get("n_topics", 50)
         state = lda_baseline.fit_lda(corpus, n_topics,
                                      sweeps=overrides.get("sweeps", 1000), seed=args.seed)
         tops = metrics.top_words_from_matrix(lda_baseline.lda_topic_word(state), args.n_top)
@@ -91,7 +91,7 @@ def cmd_train(args) -> None:
     fields = {"model_kind": args.model, "seed": args.seed,
               "pretrained_path": args.pretrained,
               "freeze_word_emb": bool(args.pretrained and not args.tune_embeddings)}
-    if args.topics:
+    if args.topics is not None:
         fields["n_topics"] = args.topics
     for key, val in overrides.items():
         fields.setdefault(key, val)
@@ -105,15 +105,20 @@ def cmd_train(args) -> None:
     print(f"wrote {args.output} (final mean ELBO {report.epoch_elbo[-1]:.4f})")
 
 
+def _checkpoint_top_words(corpus, path, n_top: int) -> list[list[tuple[int, float]]]:
+    """Top words of each topic of a checkpoint whose vocabulary size matches the corpus."""
+    params, _ = model.load_checkpoint(path)
+    if params.n_vocab != corpus.vocab_size:
+        raise model.ModelError(f"{path}: checkpoint vocabulary size {params.n_vocab} does not "
+                               f"match the corpus vocabulary size {corpus.vocab_size}")
+    return metrics.top_words_from_matrix(np.exp(model.log_topic_word_matrix(params)), n_top)
+
+
 def _report_from_source(corpus, source: str, n_top: int) -> metrics.MetricsReport:
     if source.endswith(".json"):
         tops, _ = metrics.load_topics(source, corpus.vocabulary.index)
     else:
-        params, _ = model.load_checkpoint(source)
-        if params.n_vocab != corpus.vocab_size:
-            raise metrics.MetricsError("checkpoint vocabulary size does not match the corpus")
-        log_beta = model.log_topic_word_matrix(params)
-        tops = metrics.top_words_from_matrix(np.exp(log_beta), n_top)
+        tops = _checkpoint_top_words(corpus, source, n_top)
     return metrics.evaluate_topics(corpus, tops, n_top)
 
 
@@ -127,10 +132,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_topics(args) -> None:
-    params, _ = model.load_checkpoint(args.checkpoint)
     corpus = corpus_mod.load_corpus(args.corpus)
-    topic_word = np.exp(model.log_topic_word_matrix(params))
-    for t, pairs in enumerate(metrics.top_words_from_matrix(topic_word, args.n)):
+    for t, pairs in enumerate(_checkpoint_top_words(corpus, args.checkpoint, args.n)):
         words = " ".join(corpus.vocabulary.words[v] for v, _ in pairs)
         print(f"topic {t}: {words}")
 

@@ -13,6 +13,7 @@ from .corpus import Corpus
 from .sgns import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
+MAX_ITER = 100  # Lloyd passes per k-means restart
 
 
 class ClusterError(Exception):
@@ -88,8 +89,8 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
     return centres, labels, inertia, history
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
-           n_restarts: int = 10, representation: str = "embedding") -> ClusterModel:
+def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
+           representation: str = "embedding") -> ClusterModel:
     """Best of `n_restarts` k-means++/Lloyd runs; deterministic for a given seed.
 
     Seeding and iteration run over a lexicographically sorted copy of the
@@ -109,7 +110,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
     best = None
     for _ in range(n_restarts):
         init = _kmeans_pp_init(sorted_points, k, rng)
-        centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, max_iter)
+        centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, MAX_ITER)
         if best is None or inertia < best[2]:
             best = (centres, sorted_labels, inertia, history)
 

@@ -212,7 +212,6 @@ def save_corpus(corpus: Corpus, path) -> None:
     payload = {
         "vocab": corpus.vocabulary.words,
         "docs": [d.tokens for d in corpus.documents],
-        "g0": corpus.g0.tolist(),
     }
     Path(path).write_text(json.dumps(payload), "utf-8")
 
@@ -222,16 +221,9 @@ def load_corpus(path) -> Corpus:
         payload = json.loads(Path(path).read_text("utf-8"))
         vocab = Vocabulary(payload["vocab"])
         docs = [Document(list(map(int, toks))) for toks in payload["docs"]]
-        g0 = np.asarray(payload["g0"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e
-    if g0.shape != (vocab.size,):
-        raise CorpusError(f"{path}: g0 length {g0.shape} does not match vocabulary {vocab.size}")
     try:
-        corpus = Corpus(docs, vocab)
+        return Corpus(docs, vocab)
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e
-    drift = np.abs(g0 - corpus.g0).max()
-    if not drift <= 1e-12:
-        raise CorpusError(f"{path}: stored g0 differs from the document counts by {drift:.3g}")
-    return corpus

@@ -39,8 +39,7 @@ class LdaState:
 
 
 def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: float = 0.01,
-            sweeps: int = 1000, seed: int = 0, debug_checks: bool = False,
-            on_sweep=None) -> LdaState:
+            sweeps: int = 1000, seed: int = 0, on_sweep=None) -> LdaState:
     """Run collapsed Gibbs sweeps; last sample kept. Deterministic given the seed.
 
     `on_sweep(z)` is called with the assignment lists after every sweep, for
@@ -89,8 +88,6 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: flo
                 n_tv[t_new, v] += 1
                 nd[t_new] += 1
                 n_t[t_new] += 1
-        if debug_checks:
-            LdaState(z, n_tv, n_dt, n_t, alpha, beta).check_consistency(docs)
         if on_sweep is not None:
             on_sweep(z)
 

@@ -164,8 +164,9 @@ def read_scatter_csv(path) -> list[tuple[float, float]]:
     return [(float(a), float(b)) for _, a, b in (ln.split(",") for ln in lines[1:])]
 
 
-def write_scatter_svg(report: MetricsReport, path, width=480, height=360, label="model") -> None:
+def write_scatter_svg(report: MetricsReport, path, label="model") -> None:
     """Minimal self-contained scatter: axes, points, one legend entry."""
+    width, height = 480, 360
     pts = per_topic_scatter(report)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

@@ -68,9 +68,9 @@ class ModelParams:
 def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: int,
                 hidden: int = 800, seed: int = 0, word_emb: np.ndarray | None = None,
                 freeze_word_emb: bool = False, centres: np.ndarray | None = None,
-                log_g0: np.ndarray | None = None, assignment: np.ndarray | None = None,
-                emb_init_scale: float = 0.3) -> ModelParams:
-    """Network weights start at N(0, 0.02^2); embedding tables at N(0, emb_init_scale^2).
+                log_g0: np.ndarray | None = None,
+                assignment: np.ndarray | None = None) -> ModelParams:
+    """Network weights start at N(0, 0.02^2); embedding tables at N(0, 0.3^2).
 
     The larger embedding scale breaks the symmetry between topics, which
     otherwise all converge to the corpus unigram distribution.
@@ -84,7 +84,7 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
         return rng.normal(0.0, scale, size=shape)
 
     def emb_init(*shape):
-        return rng.normal(0.0, emb_init_scale, size=shape)
+        return rng.normal(0.0, 0.3, size=shape)
 
     enc = {
         "W1": w(hidden, n_vocab), "b1": np.zeros(hidden),
@@ -120,12 +120,11 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def topic_embedding_modified(params: ModelParams, centres: np.ndarray | None = None) -> np.ndarray:
+def topic_embedding_modified(params: ModelParams) -> np.ndarray:
     """Apply the centre->embedding network row-wise: tanh layer then linear."""
     if params.kind != "modified":
         raise ModelError("the centre network belongs to the modified model")
-    c = params.centres if centres is None else np.asarray(centres, dtype=float)
-    xi = params.xi
+    c, xi = params.centres, params.xi
     if c.shape[1] != xi["W1"].shape[1]:
         raise ModelError(f"centre dim {c.shape[1]} != network input dim {xi['W1'].shape[1]}")
     h1 = np.tanh(c @ xi["W1"].T + xi["b1"])
@@ -142,12 +141,9 @@ def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
     return logits - logsumexp(logits, axis=1, keepdims=True)
 
 
-def encode(params: ModelParams, doc: Document | np.ndarray) -> VariationalStats:
+def encode(params: ModelParams, doc: Document) -> VariationalStats:
     """Mean and log-std of the variational Gaussian from L1-normalized counts."""
-    if isinstance(doc, Document):
-        x = doc_term_matrix([doc], params.n_vocab).toarray()[0]
-    else:
-        x = np.asarray(doc, float)
+    x = doc_term_matrix([doc], params.n_vocab).toarray()[0]
     h = x / x.sum()
     enc = params.enc
     z1 = _softplus(enc["W1"] @ h + enc["b1"])

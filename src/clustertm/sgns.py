@@ -20,8 +20,9 @@ class SgnsConfig:
     negatives: int = 5
     subsample: float = 1e-4
     epochs: int = 5
-    lr0: float = 0.025
-    lr_min: float = 1e-4
+
+
+LR0, LR_MIN = 0.025, 1e-4  # word2vec's linear learning-rate schedule (Mikolov et al. 2013)
 
 
 @dataclass
@@ -102,7 +103,7 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
             read = np.flatnonzero(rng.random(len(toks)) < keep[toks])
             sent = toks[read]
             for pos, center in enumerate(sent):
-                lr = max(config.lr_min, config.lr0 * (1.0 - (step + read[pos]) / total_steps))
+                lr = max(LR_MIN, LR0 * (1.0 - (step + read[pos]) / total_steps))
                 b = int(rng.integers(1, config.window + 1))
                 lo, hi = max(0, pos - b), min(len(sent), pos + b + 1)
                 for cpos in range(lo, hi):

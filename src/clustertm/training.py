@@ -31,8 +31,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 512
     learning_rate: float = 2e-3
-    weight_decay: float = 1.2e-6  # encoder weights only
-    grad_clip: float = 5.0
     kl_anneal_epochs: int = 0  # 0 disables annealing
     seed: int = 0
     freeze_word_emb: bool = False
@@ -41,12 +39,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.model_kind not in ("etm", "modified"):
             raise TrainingError(f"unknown model kind {self.model_kind!r}")
-        if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
+        for name in ("n_topics", "emb_dim", "hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.kl_anneal_epochs < 0:
+            raise TrainingError(f"kl_anneal_epochs must be >= 0, got {self.kl_anneal_epochs!r}")
+        if not 0 < self.learning_rate < np.inf:  # also rejects NaN
+            raise TrainingError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -64,8 +63,10 @@ class TrainReport:
 
 
 class Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the published defaults (Kingma & Ba 2015)
+
+    def __init__(self, lr):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -84,7 +85,10 @@ class Adam:
             blocks[name] += self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+# ETM's training choices (Dieng, Ruiz & Blei 2020): decay of the encoder weights only
 _DECAYED = ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws")
+WEIGHT_DECAY = 1.2e-6
+GRAD_CLIP = 5.0
 
 
 def _clip_global_norm(grads: dict[str, np.ndarray], limit: float) -> bool:
@@ -147,13 +151,12 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
                     raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
             for g in grads.values():
                 g /= len(docs)
-            if _clip_global_norm(grads, config.grad_clip):
+            if _clip_global_norm(grads, GRAD_CLIP):
                 report.warnings.append(f"epoch {epoch}: gradient clipped")
             blocks = model.trainable_blocks(params)
             opt.step(blocks, grads)
-            if config.weight_decay:
-                for name in _DECAYED:
-                    blocks[name] *= 1.0 - config.weight_decay
+            for name in _DECAYED:
+                blocks[name] *= 1.0 - WEIGHT_DECAY
             epoch_elbo += value
         report.epoch_elbo.append(epoch_elbo / corpus.n_docs)
 
@@ -188,9 +191,7 @@ def run_experiment(corpus: Corpus, configs: list[dict], cluster_model: ClusterMo
         ckpt = out_dir / f"run{i}_{kind}.ckpt" if out_dir else None
 
         if kind == "lda":
-            state = lda_baseline.fit_lda(
-                corpus, spec.pop("n_topics", 50),
-                **{k: v for k, v in spec.items() if k in ("alpha", "beta", "sweeps", "seed")})
+            state = lda_baseline.fit_lda(corpus, spec.pop("n_topics", 50), **spec)
             beta_tw = lda_baseline.lda_topic_word(state)
             tops = metrics.top_words_from_matrix(beta_tw, n_top)
         elif kind in ("etm", "modified"):

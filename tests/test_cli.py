@@ -163,3 +163,35 @@ def test_cli_determinism_byte_identical_outputs(texts_dir, tmp_path):
                                              hidden=8)]) == 0
         outs.append(ckpt.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("kind, config", [("etm", {"epochs": 1, "emb_dim": 4, "hidden": 8}),
+                                          ("lda", {"sweeps": 1})])
+def test_train_rejects_zero_topics(texts_dir, tmp_path, capsys, kind, config):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", corpus, out, "--model", kind, "--topics", 0,
+                "--config", write_config(tmp_path, **config)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "n_topics" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trained_on, shown_on", [(2, 4), (4, 2)])
+def test_topics_rejects_checkpoint_of_another_vocabulary(tmp_path, capsys, trained_on, shown_on):
+    def corpus(n_words):
+        path = tmp_path / f"corpus{n_words}.json"
+        path.write_text(json.dumps({"vocab": list("abcd"[:n_words]),
+                                    "docs": [list(range(n_words)), [0, n_words - 1]]}), "utf-8")
+        return path
+
+    ckpt = tmp_path / "model.ckpt"
+    assert run(["train", corpus(trained_on), ckpt, "--model", "etm", "--topics", 2,
+                "--config", write_config(tmp_path, epochs=1, emb_dim=4, hidden=8)]) == 0
+    capsys.readouterr()
+    assert run(["topics", corpus(shown_on), ckpt]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ModelError:")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clustertm.cluster import (ClusterError, cluster_corpus, kmeans,
+from clustertm.cluster import (ClusterError, _lloyd, cluster_corpus, kmeans,
                                load_clusters, save_clusters,
                                vectorize_documents)
 from clustertm.sgns import EmbeddingMatrix
@@ -82,6 +82,16 @@ def test_kmeans_inertia_monotone_over_iterations():
         model = kmeans(points, int(rng.integers(1, 4)), seed=trial, n_restarts=1)
         hist = model.inertia_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+
+
+def test_lloyd_out_of_passes_labels_against_last_update():
+    points = np.random.default_rng(7).standard_normal((40, 3))
+    centres, labels, inertia, history = _lloyd(points, points[:4].copy(), max_iter=1)
+    assert len(history) == 1
+    d2 = ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(labels, d2.argmin(axis=1))
+    assert inertia == np.sum((points - centres[labels]) ** 2, axis=1).sum()
+    assert inertia < history[0]
 
 
 def test_kmeans_invariant_to_point_order():

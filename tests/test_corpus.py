@@ -109,6 +109,16 @@ def test_corpus_roundtrip(tmp_path):
     assert np.allclose(back.g0, corpus.g0, atol=1e-12)
 
 
+def test_corpus_file_holds_vocab_and_docs_and_ignores_stored_g0(tmp_path):
+    path = tmp_path / "corpus.json"
+    save_corpus(make_corpus([[0, 1, 1]], words=["a", "b"]), path)
+    payload = json.loads(path.read_text("utf-8"))
+    assert sorted(payload) == ["docs", "vocab"]
+    # an older file also stored g0; it is derived from the documents instead
+    path.write_text(json.dumps({**payload, "g0": [0.5, 0.5]}), "utf-8")
+    assert load_corpus(path).g0.tolist() == [1 / 3, 2 / 3]
+
+
 def test_load_corpus_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", "utf-8")
@@ -116,10 +126,10 @@ def test_load_corpus_malformed_file(tmp_path):
         load_corpus(path)
 
 
+# older-layout files: the stored g0 is ignored, the ids are not
 @pytest.mark.parametrize("docs,g0", [
     ([[0, -1]], [0.5, 0.5]),  # negative id
     ([[0, 2]], [0.5, 0.5]),  # id past the vocabulary
-    ([[0, 1, 1]], [0.5, 0.5]),  # g0 that is not the documents' frequency
 ])
 def test_load_corpus_rejects_inconsistent_content(tmp_path, docs, g0):
     path = tmp_path / "corpus.json"

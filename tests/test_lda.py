@@ -57,7 +57,9 @@ def test_count_consistency_every_sweep():
     rng = np.random.default_rng(3)
     corpus = make_corpus([[int(x) for x in rng.integers(0, 8, size=12)]
                           for _ in range(6)])
-    fit_lda(corpus, 3, sweeps=20, seed=1, debug_checks=True)  # raises on drift
+    docs = [np.asarray(d.tokens) for d in corpus.documents]
+    for sweeps in range(21):
+        fit_lda(corpus, 3, sweeps=sweeps, seed=1).check_consistency(docs)  # raises on drift
 
 
 def test_rejects_bad_topic_count():

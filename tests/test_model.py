@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -81,14 +82,15 @@ def test_topic_embedding_modified_permutes_with_centres():
     p = modified_params()
     perm = [2, 0, 1]
     base = model.topic_embedding_modified(p)
-    permuted = model.topic_embedding_modified(p, centres=p.centres[perm])
+    permuted = model.topic_embedding_modified(dataclasses.replace(p, centres=p.centres[perm]))
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
 def test_topic_embedding_modified_dim_mismatch():
     p = modified_params()
     with pytest.raises(model.ModelError):
-        model.topic_embedding_modified(p, centres=np.zeros((3, p.emb_dim + 1)))
+        model.topic_embedding_modified(
+            dataclasses.replace(p, centres=np.zeros((3, p.emb_dim + 1))))
 
 
 def test_modified_word_dist_uniform_g0_equals_etm_form():

@@ -114,7 +114,7 @@ def test_learning_rate_decays_to_lr_min_under_subsampling(monkeypatch):
     # A unit gradient makes each step move w_in[center] by exactly -lr, so the
     # last step size is read off the input vector. The schedule runs over
     # every token read; counting only subsampling survivors (about one in
-    # ten here) leaves the last step near 0.9 * lr0.
+    # ten here) leaves the last step near 0.9 * LR0.
     seen = []
 
     def unit_gradient(center, context, negatives, w_in, w_out):
@@ -126,4 +126,4 @@ def test_learning_rate_decays_to_lr_min_under_subsampling(monkeypatch):
     config = SgnsConfig(epochs=1, subsample=0.01)
     emb = pretrain(corpus, 2, config, seed=0)
     last_lr = seen[-1] - emb.vectors[0, 0]
-    assert abs(last_lr - config.lr_min) < 0.1 * config.lr_min
+    assert abs(last_lr - sgns.LR_MIN) < 0.1 * sgns.LR_MIN

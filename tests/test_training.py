@@ -22,6 +22,16 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [("n_topics", 0), ("emb_dim", 0), ("hidden", 0),
+                                          ("kl_anneal_epochs", -5),
+                                          ("learning_rate", float("nan")),
+                                          ("learning_rate", float("inf"))])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(TrainingError) as err:
+        small_config(**{field: value})
+    assert field in str(err.value) and "\n" not in str(err.value)
+
+
 def test_config_validation():
     with pytest.raises(TrainingError):
         small_config(epochs=0)
@@ -94,23 +104,26 @@ def test_optimizer_zero_gradient_is_noop():
 
 
 def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
+    # With zero gradients the Adam step is a no-op, so each of the 2 x 2 steps
+    # (2 epochs, 30 documents in batches of 16) only applies the decay.
     corpus = small_corpus()
+    config = small_config(epochs=2)
 
     def zero_grad(params, docs, ids, seed, kl_weight=1.0):
         return 0.0, zero_grads_like(model.trainable_blocks(params))
 
     monkeypatch.setattr(model, "elbo_and_grad", zero_grad)
-    cfg_plain = small_config(epochs=1, weight_decay=0.0)
-    cfg_decay = small_config(epochs=1, weight_decay=0.1)
-    plain, _ = fit(corpus, None, cfg_plain)
-    decayed, _ = fit(corpus, None, cfg_decay)
-    for name in ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws"):
-        a = model.trainable_blocks(plain)[name]
-        b = model.trainable_blocks(decayed)[name]
-        assert np.abs(b).sum() < np.abs(a).sum()
-    for name in ("enc.b1", "enc.b2", "enc.bm", "enc.bs", "word_emb", "topic_emb"):
-        assert np.array_equal(model.trainable_blocks(plain)[name],
-                              model.trainable_blocks(decayed)[name])
+    trained, _ = fit(corpus, None, config)
+    start = model.trainable_blocks(model.init_params(
+        "etm", corpus.vocab_size, config.n_topics, config.emb_dim, corpus.n_docs,
+        hidden=config.hidden, seed=config.seed))
+    after = model.trainable_blocks(trained)
+    for name, block in start.items():
+        expected = block.copy()
+        if name in ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws"):
+            for _ in range(4):
+                expected *= 1.0 - 1.2e-6
+        assert np.array_equal(after[name], expected), name
 
 
 def test_aborted_run_leaves_no_partial_checkpoint(tmp_path, monkeypatch):
@@ -157,6 +170,11 @@ def test_run_experiment_rows(tmp_path):
             data = Path(row["checkpoint"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == row["checkpoint_sha256"]
     assert "checkpoint" in rows[1] and "checkpoint" in rows[2]
+
+
+def test_run_experiment_rejects_misspelt_lda_key():
+    with pytest.raises(TypeError, match="sweep"):
+        run_experiment(small_corpus(), [{"model": "lda", "n_topics": 2, "sweep": 3}])
 
 
 def test_run_experiment_single_row():
