@@ -102,6 +102,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
         raise ClusterError("k must be >= 1")
     if k > n:
         raise ClusterError(f"k={k} exceeds number of points {n}")
+    if n_restarts < 1:
+        raise ClusterError(f"n_restarts must be >= 1, got {n_restarts!r}")
 
     order = np.lexsort(points.T[::-1])
     sorted_points = points[order]

@@ -78,11 +78,25 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1 ** self.t)
-            vhat = self.v[name] / (1 - self.beta2 ** self.t)
-            blocks[name] += self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self._update(blocks[name], g, self.m[name], self.v[name])
+
+    def _update(self, block, g, m, v):
+        """In place, with two temporaries the size of `g`, and in the operation order of
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps).
+        """
+        tmp, den = np.empty_like(g), np.empty_like(g)
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.divide(v, 1 - self.beta2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, 1 - self.beta1 ** self.t, out=tmp)
+        tmp *= self.lr
+        tmp /= den
+        block += tmp
 
 
 # ETM's training choices (Dieng, Ruiz & Blei 2020): decay of the encoder weights only
@@ -136,6 +150,7 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
     for epoch in range(config.epochs):
         order = rng.permutation(corpus.n_docs)
         epoch_elbo = 0.0
+        clipped = 0
         for start in range(0, corpus.n_docs, batch):
             ids = order[start : start + batch]
             docs = [corpus.documents[d] for d in ids]
@@ -151,14 +166,16 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
                     raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
             for g in grads.values():
                 g /= len(docs)
-            if _clip_global_norm(grads, GRAD_CLIP):
-                report.warnings.append(f"epoch {epoch}: gradient clipped")
+            clipped += _clip_global_norm(grads, GRAD_CLIP)
             blocks = model.trainable_blocks(params)
             opt.step(blocks, grads)
             for name in _DECAYED:
                 blocks[name] *= 1.0 - WEIGHT_DECAY
             epoch_elbo += value
         report.epoch_elbo.append(epoch_elbo / corpus.n_docs)
+        if clipped:
+            n_steps = len(range(0, corpus.n_docs, batch))
+            report.warnings.append(f"epoch {epoch}: gradient clipped at {clipped} of {n_steps} steps")
 
     report.wall_time = time.monotonic() - t0
     if checkpoint_path is not None:

@@ -195,3 +195,15 @@ def test_topics_rejects_checkpoint_of_another_vocabulary(tmp_path, capsys, train
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ModelError:")
+
+
+@pytest.mark.parametrize("option, value", [("--window", 0), ("--negatives", -1), ("--epochs", -1)])
+def test_pretrain_rejects_out_of_range_options(texts_dir, tmp_path, capsys, option, value):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    out = tmp_path / "emb.txt"
+    capsys.readouterr()
+    assert run(["pretrain", corpus, out, "--dim", 4, option, value]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SgnsError:") and option[2:] in err[0]
+    assert not out.exists()

@@ -63,6 +63,8 @@ def test_kmeans_rejects_bad_k():
         kmeans(points, 4)
     with pytest.raises(ClusterError):
         kmeans(points, 0)
+    with pytest.raises(ClusterError):
+        kmeans(points, 2, n_restarts=0)
 
 
 def test_kmeans_matches_brute_force_on_tiny_instances():

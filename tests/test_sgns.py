@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,19 +113,85 @@ def test_embeddings_roundtrip(tmp_path):
 
 
 def test_learning_rate_decays_to_lr_min_under_subsampling(monkeypatch):
-    # A unit gradient makes each step move w_in[center] by exactly -lr, so the
-    # last step size is read off the input vector. The schedule runs over
-    # every token read; counting only subsampling survivors (about one in
-    # ten here) leaves the last step near 0.9 * LR0.
-    seen = []
+    # The batched step receives each pair's rate, in pair order; the recording
+    # stand-in applies no update. The schedule runs over every token read;
+    # counting only subsampling survivors (about one in ten here) leaves the
+    # last rate near 0.9 * LR0.
+    rates = []
 
-    def unit_gradient(center, context, negatives, w_in, w_out):
-        seen.append(w_in[center, 0])
-        return 0.0, np.ones(w_in.shape[1]), {}
+    def recording_pair_step(w_in, w_out, centres, outputs, lr):
+        rates.extend(lr)
+        return 0.0
 
-    monkeypatch.setattr(sgns, "sgns_loss_and_grad", unit_gradient)
+    monkeypatch.setattr(sgns, "_pair_step", recording_pair_step)
     corpus = make_corpus([[0] * 200 for _ in range(50)], words=["a"])
     config = SgnsConfig(epochs=1, subsample=0.01)
-    emb = pretrain(corpus, 2, config, seed=0)
-    last_lr = seen[-1] - emb.vectors[0, 0]
-    assert abs(last_lr - sgns.LR_MIN) < 0.1 * sgns.LR_MIN
+    pretrain(corpus, 2, config, seed=0)
+    assert abs(rates[-1] - sgns.LR_MIN) < 0.1 * sgns.LR_MIN
+
+
+def test_pair_step_matches_summed_per_pair_gradients():
+    rng = np.random.default_rng(5)
+    w_in = rng.normal(0, 0.5, size=(7, 4))
+    w_out = rng.normal(0, 0.5, size=(7, 4))
+    centres = np.array([0, 2, 0, 5, 6, 2])
+    # context then negatives: repeated negatives, a context that is also a
+    # negative, and rows shared across pairs
+    outputs = np.array([[1, 3, 3, 4], [0, 3, 6, 6], [2, 2, 1, 0],
+                        [5, 0, 1, 2], [0, 3, 3, 3], [4, 1, 5, 4]])
+    lr = rng.uniform(0.1, 2.0, size=len(centres))
+    want_loss, want_in, want_out = 0.0, np.zeros_like(w_in), np.zeros_like(w_out)
+    for c, (ctx, *negs), rate in zip(centres, outputs.tolist(), lr):
+        loss, g_u, g_out = sgns_loss_and_grad(int(c), ctx, negs, w_in, w_out)
+        want_loss += loss
+        want_in[c] += rate * g_u
+        for row, g in g_out.items():
+            want_out[row] += rate * g
+    new_in, new_out = w_in.copy(), w_out.copy()
+    loss = sgns._pair_step(new_in, new_out, centres, outputs, lr)
+    assert abs(loss - want_loss) < 1e-12
+    assert np.abs((w_in - new_in) - want_in).max() < 1e-12
+    assert np.abs((w_out - new_out) - want_out).max() < 1e-12
+
+
+def test_pretrain_same_seed_byte_identical():
+    rng = np.random.default_rng(8)
+    docs = [[int(x) for x in rng.integers(0, 15, size=n)] for n in (3, 40, 600)]
+    corpus = make_corpus(docs)
+    # without subsampling, the 600-token document spans dozens of batches
+    for config in (SgnsConfig(epochs=2), SgnsConfig(epochs=2, subsample=0.0)):
+        runs = [pretrain(corpus, 5, config, seed=9).vectors for _ in range(2)]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def test_pretrain_peak_memory_bounded_on_long_document():
+    # Unblocked, one (pairs, 1+K, dim) gather of these 20k tokens would be ~370 MB;
+    # the bound is a few batches' worth, whatever the document length.
+    dim, config = 64, SgnsConfig(epochs=1, subsample=0.0)
+    corpus = make_corpus([[int(x) for x in np.random.default_rng(1).integers(0, 2000, size=20_000)]])
+    tracemalloc.start()
+    try:
+        pretrain(corpus, dim, config, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * sgns.MAX_SLOTS * dim * 8
+
+
+def test_pretrain_stays_finite_on_long_documents_over_few_words():
+    # Without subsampling, every slot of a batch is one of two rows. Batches cut by
+    # MAX_SLOTS alone (68 positions, ~2000 slots per row) diverged to 1e99 here.
+    corpus = make_corpus([[0, 1] * 100 for _ in range(20)], words=["a", "b"])
+    report = []
+    emb = pretrain(corpus, 8, SgnsConfig(epochs=2, subsample=0.0), seed=0, report=report)
+    assert np.isfinite(report).all()
+    assert np.abs(emb.vectors).max() < 5
+
+
+@pytest.mark.parametrize("field, value", [("window", 0), ("negatives", -1), ("epochs", -1),
+                                          ("subsample", -1e-4), ("subsample", float("nan")),
+                                          ("subsample", float("inf"))])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(SgnsError) as err:
+        SgnsConfig(**{field: value})
+    assert field in str(err.value) and "\n" not in str(err.value)

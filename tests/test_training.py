@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clustertm import model
+from clustertm import model, training
 from clustertm.cluster import cluster_corpus
 from clustertm.training import (Adam, TrainConfig, TrainingError,
                                 cluster_hash, fit, run_experiment)
@@ -101,6 +103,58 @@ def test_optimizer_zero_gradient_is_noop():
     Adam(1e-2).step(blocks, zero_grads_like(blocks))
     for k in blocks:
         assert np.array_equal(blocks[k], before[k])
+
+
+def reference_adam_step(opt, blocks, grads):
+    """The out-of-place update, operation for operation."""
+    opt.t += 1
+    for name, g in grads.items():
+        m = opt.m.get(name, np.zeros_like(g))
+        v = opt.v.get(name, np.zeros_like(g))
+        opt.m[name] = opt.beta1 * m + (1 - opt.beta1) * g
+        opt.v[name] = opt.beta2 * v + (1 - opt.beta2) * g * g
+        mhat = opt.m[name] / (1 - opt.beta1 ** opt.t)
+        vhat = opt.v[name] / (1 - opt.beta2 ** opt.t)
+        blocks[name] += opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+
+
+def test_adam_in_place_step_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    blocks = {"a": rng.normal(size=(30, 7)), "b": rng.normal(size=11)}
+    ref_blocks = {k: v.copy() for k, v in blocks.items()}
+    opt, ref = Adam(3e-3), Adam(3e-3)
+    for _ in range(6):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
+                 for k, v in blocks.items()}
+        opt.step(blocks, {k: g.copy() for k, g in grads.items()})
+        reference_adam_step(ref, ref_blocks, grads)
+        for k in blocks:
+            assert blocks[k].tobytes() == ref_blocks[k].tobytes()
+            assert opt.m[k].tobytes() == ref.m[k].tobytes()
+            assert opt.v[k].tobytes() == ref.v[k].tobytes()
+
+
+def test_adam_step_peak_memory_at_most_three_blocks():
+    rng = np.random.default_rng(5)
+    blocks = {"big": rng.normal(size=(400, 500)), "mid": rng.normal(size=(400, 300)),
+              "small": rng.normal(size=50)}
+    grads = {k: rng.normal(size=v.shape) for k, v in blocks.items()}
+    opt = Adam(1e-3)
+    opt.step(blocks, grads)  # allocates the moment estimates
+    tracemalloc.start()
+    try:
+        opt.step(blocks, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * blocks["big"].nbytes
+
+
+def test_clipped_steps_give_one_warning_per_epoch(monkeypatch):
+    monkeypatch.setattr(training, "GRAD_CLIP", 1e-12)
+    _, report = fit(small_corpus(), None, small_config(epochs=2, batch_size=4))
+    assert report.warnings == ["epoch 0: gradient clipped at 8 of 8 steps",
+                               "epoch 1: gradient clipped at 8 of 8 steps"]
 
 
 def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
