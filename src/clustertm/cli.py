@@ -74,12 +74,13 @@ def cmd_train(args) -> None:
         if unknown:
             raise lda_baseline.LdaError(f"--model lda does not read {', '.join(unknown)} from --config")
         n_topics = args.topics if args.topics is not None else overrides.get("n_topics", 50)
-        state = lda_baseline.fit_lda(corpus, n_topics,
-                                     sweeps=overrides.get("sweeps", 1000), seed=args.seed)
+        sweeps = overrides.get("sweeps", 1000)
+        state = lda_baseline.fit_lda(corpus, n_topics, sweeps=sweeps, seed=args.seed)
         tops = metrics.top_words_from_matrix(lda_baseline.lda_topic_word(state), args.n_top)
         metrics.save_topics(tops, corpus.vocabulary.words, args.n_top, args.output)
+        inputs = [args.corpus] + ([args.config] if args.config else [])
         manifest.write_manifest(args.output, "train",
-                                {"model": "lda", "n_topics": n_topics}, [args.corpus],
+                                {"model": "lda", "n_topics": n_topics, "sweeps": sweeps}, inputs,
                                 seed=args.seed)
         print(f"wrote {args.output} (lda topics, #T={n_topics})")
         return

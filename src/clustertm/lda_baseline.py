@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,72 +27,89 @@ class LdaState:
     def n_topics(self) -> int:
         return self.n_tv.shape[0]
 
-    def check_consistency(self, docs: list[np.ndarray]) -> None:
-        n_tv = np.zeros_like(self.n_tv)
-        n_dt = np.zeros_like(self.n_dt)
-        for d, (toks, zs) in enumerate(zip(docs, self.z)):
-            for v, t in zip(toks, zs):
-                n_tv[t, v] += 1
-                n_dt[d, t] += 1
-        if not (np.array_equal(n_tv, self.n_tv) and np.array_equal(n_dt, self.n_dt)
-                and np.array_equal(n_tv.sum(axis=1), self.n_t)):
-            raise LdaError("count matrices inconsistent with assignments")
-
 
 def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: float = 0.01,
             sweeps: int = 1000, seed: int = 0, on_sweep=None) -> LdaState:
     """Run collapsed Gibbs sweeps; last sample kept. Deterministic given the seed.
 
-    `on_sweep(z)` is called with the assignment lists after every sweep, for
-    chain diagnostics.
+    `on_sweep(z)` is called with the assignment arrays after every sweep, for
+    chain diagnostics; the same arrays are updated in place by later sweeps.
+
+    During the sweeps the counts live in Python lists, so that sampling a token
+    makes no numpy call. The draw is the same as the elementwise
+    `p = (n_tv[:, v] + beta) * (n_dt[d] + alpha) / (n_t + V * beta)`, then
+    `searchsorted(cumsum(p), u * sum, side="right")`, with one uniform `u` per
+    token taken in token order: the running sum adds in `cumsum`'s order and
+    `rng.random(n)` yields the doubles of n calls to `rng.random()`.
     """
-    if n_topics < 1:
-        raise LdaError("n_topics must be >= 1")
+    if not (_is_int(n_topics) and n_topics >= 1):
+        raise LdaError(f"n_topics must be an integer >= 1, got {n_topics!r}")
     if alpha is None:
         alpha = 50.0 / n_topics
-    if not (isinstance(sweeps, (int, np.integer)) and sweeps >= 0):
+    if not (_is_int(sweeps) and sweeps >= 0):
         raise LdaError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     if not (0 < alpha < np.inf and 0 < beta < np.inf):  # also rejects NaN
         raise LdaError(f"alpha and beta must be finite and > 0, got {alpha!r} and {beta!r}")
+    alpha, beta = float(alpha), float(beta)  # Python floats keep numpy scalars out of the loop
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs
     docs = [np.asarray(d.tokens, dtype=np.int64) for d in corpus.documents]
     rng = np.random.default_rng(seed)
 
+    z = [rng.integers(0, n_topics, size=len(toks)) for toks in docs]
     n_tv = np.zeros((n_topics, n_v))
     n_dt = np.zeros((n_d, n_topics))
-    n_t = np.zeros(n_topics)
-    z = []
-    for d, toks in enumerate(docs):
-        zs = rng.integers(0, n_topics, size=len(toks))
-        z.append(zs)
-        for v, t in zip(toks, zs):
-            n_tv[t, v] += 1
-            n_dt[d, t] += 1
-            n_t[t] += 1
+    doc_of = np.repeat(np.arange(n_d), [len(toks) for toks in docs])
+    z_all = np.concatenate(z)
+    np.add.at(n_tv, (z_all, np.concatenate(docs)), 1.0)
+    np.add.at(n_dt, (doc_of, z_all), 1.0)
+    n_t = n_tv.sum(axis=1)
 
+    word_topic = n_tv.T.tolist()  # one list of topic counts per word
+    doc_topic = n_dt.tolist()
+    topic_total = n_t.tolist()
+    z_lists = [zs.tolist() for zs in z]
+    tok_lists = [toks.tolist() for toks in docs]
     beta_v = beta * n_v
+    last = int(n_topics) - 1
     for _ in range(sweeps):
-        for d, toks in enumerate(docs):
-            zs = z[d]
-            nd = n_dt[d]
-            for i, v in enumerate(toks):
-                t_old = zs[i]
-                n_tv[t_old, v] -= 1
-                nd[t_old] -= 1
-                n_t[t_old] -= 1
-                p = (n_tv[:, v] + beta) * (nd + alpha) / (n_t + beta_v)
-                cdf = np.cumsum(p)
-                t_new = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-                t_new = min(t_new, n_topics - 1)
-                zs[i] = t_new
-                n_tv[t_new, v] += 1
-                nd[t_new] += 1
-                n_t[t_new] += 1
+        for toks, zs, nd in zip(tok_lists, z_lists, doc_topic):
+            for i, u in enumerate(rng.random(len(toks)).tolist()):
+                nv = word_topic[toks[i]]
+                t = zs[i]
+                nv[t] -= 1
+                nd[t] -= 1
+                topic_total[t] -= 1
+                cdf = []
+                total = 0.0
+                for a, b, c in zip(nv, nd, topic_total):
+                    total += (a + beta) * (b + alpha) / (c + beta_v)
+                    cdf.append(total)
+                t = bisect_right(cdf, u * total)
+                if t > last:  # u * total can round up to total
+                    t = last
+                zs[i] = t
+                nv[t] += 1
+                nd[t] += 1
+                topic_total[t] += 1
         if on_sweep is not None:
+            _copy_into(z, z_lists)
             on_sweep(z)
 
+    _copy_into(z, z_lists)
+    n_tv[:] = np.array(word_topic).T
+    n_dt[:] = doc_topic
+    n_t[:] = topic_total
     return LdaState(z, n_tv, n_dt, n_t, alpha, beta)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _copy_into(z: list[np.ndarray], z_lists: list[list[int]]) -> None:
+    for zs, values in zip(z, z_lists):
+        zs[:] = values
 
 
 def lda_topic_word(state: LdaState) -> np.ndarray:

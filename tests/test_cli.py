@@ -5,6 +5,7 @@ import pytest
 
 from clustertm import cli
 from clustertm.corpus import load_corpus
+from clustertm.manifest import sha256_file
 
 
 @pytest.fixture()
@@ -107,6 +108,20 @@ def test_train_lda_writes_topics_json_evaluable(texts_dir, tmp_path):
     assert run(["eval", corpus, topics, report, "--n", 3]) == 0
     payload = json.loads(topics.read_text("utf-8"))
     assert len(payload["topics"]) == 2
+
+
+def test_train_lda_manifest_records_sweeps_and_config(texts_dir, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    topics = tmp_path / "lda_topics.json"
+    config = write_config(tmp_path, sweeps=3)
+    assert run(["train", corpus, topics, "--model", "lda", "--topics", 2, "--seed", 4,
+                "--config", config]) == 0
+    manifest = json.loads((tmp_path / "lda_topics.json.manifest.json").read_text("utf-8"))
+    assert manifest["config"] == {"model": "lda", "n_topics": 2, "sweeps": 3}
+    assert manifest["seed"] == 4
+    assert manifest["inputs"] == {str(corpus): sha256_file(corpus),
+                                  str(config): sha256_file(config)}
 
 
 def test_eval_rejects_truncated_checkpoint(texts_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from clustertm.lda_baseline import LdaError, fit_lda, lda_topic_word
 from conftest import make_corpus
+from lda_reference import check_consistency, reference_fit_lda
 
 
 def exact_posterior_two_tokens(alpha, beta, n_vocab=2, n_topics=2):
@@ -43,6 +44,38 @@ def test_gibbs_chain_matches_exact_enumeration():
     assert tv < 0.02
 
 
+def _reference_corpus():
+    """Documents of 1 to 30 tokens over 12 words, two of which never occur."""
+    rng = np.random.default_rng(11)
+    lengths = [1, 30, 7, 2, 19, 12, 25, 3, 16, 9]
+    return make_corpus([[int(x) for x in rng.integers(0, 10, size=n)] for n in lengths],
+                       words=[f"w{i:02d}" for i in range(12)])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("sweeps", [0, 1, 7])
+@pytest.mark.parametrize("alpha", [None, 0.3])
+@pytest.mark.parametrize("n_topics", [1, 2, 5, 10, 50])
+def test_chain_matches_reference_sampler(n_topics, alpha, sweeps, seed):
+    corpus = _reference_corpus()
+    runs = []
+    for fit in (fit_lda, reference_fit_lda):
+        snapshots = []
+        state = fit(corpus, n_topics, alpha=alpha, sweeps=sweeps, seed=seed,
+                    on_sweep=lambda z: snapshots.append([zs.copy() for zs in z]))
+        runs.append((state, snapshots))
+    (state, snapshots), (ref, ref_snapshots) = runs
+    assert all(zs.dtype == np.int64 for zs in state.z)
+    assert len(state.z) == len(ref.z)
+    assert all(np.array_equal(a, b) for a, b in zip(state.z, ref.z))
+    for name in ("n_tv", "n_dt", "n_t"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert (state.alpha, state.beta) == (ref.alpha, ref.beta)
+    assert len(snapshots) == len(ref_snapshots) == sweeps
+    for snap, ref_snap in zip(snapshots, ref_snapshots):
+        assert all(np.array_equal(a, b) for a, b in zip(snap, ref_snap))
+
+
 def test_single_topic_assigns_everything_to_topic_zero():
     corpus = make_corpus([[0, 1, 1], [2, 0]])
     state = fit_lda(corpus, 1, sweeps=10, seed=0)
@@ -59,16 +92,18 @@ def test_count_consistency_every_sweep():
                           for _ in range(6)])
     docs = [np.asarray(d.tokens) for d in corpus.documents]
     for sweeps in range(21):
-        fit_lda(corpus, 3, sweeps=sweeps, seed=1).check_consistency(docs)  # raises on drift
+        check_consistency(fit_lda(corpus, 3, sweeps=sweeps, seed=1), docs)  # raises on drift
 
 
 def test_rejects_bad_topic_count():
-    with pytest.raises(LdaError):
-        fit_lda(make_corpus([[0]]), 0)
+    for n_topics in (0, True, 2.0):
+        with pytest.raises(LdaError, match="n_topics"):
+            fit_lda(make_corpus([[0]]), n_topics)
 
 
 @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"alpha": -1.0}, {"alpha": float("nan")},
-                                    {"beta": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5}])
+                                    {"beta": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5},
+                                    {"sweeps": True}, {"sweeps": False}])
 def test_rejects_bad_hyperparameters(kwargs):
     with pytest.raises(LdaError):
         fit_lda(make_corpus([[0, 1], [1]]), 2, **kwargs)
