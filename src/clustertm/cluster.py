@@ -44,19 +44,37 @@ def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = Non
     return reps / np.linalg.norm(reps, axis=1, keepdims=True)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, sq: np.ndarray, group: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) over lexsorted points.
+
+    A point's squared distance to centre x_i is |x|^2 - 2 x.x_i + |x_i|^2, from
+    the cached row norms `sq` and one matrix-vector product. Rows identical to
+    x_i (its `group`: runs of equal rows in the sorted order) get exactly 0, as
+    the difference (x - x_i)^2 gives them, so a rounding residue cannot make
+    the remaining D^2 mass look positive.
+    """
     n = points.shape[0]
     centres = np.empty((k, points.shape[1]))
-    centres[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centres[0]) ** 2, axis=1)
+
+    def sq_dist(i):
+        d = sq - 2.0 * (points @ points[i])
+        d += sq[i]
+        np.maximum(d, 0.0, out=d)
+        d[group == group[i]] = 0.0
+        return d
+
+    first = rng.integers(n)
+    centres[0] = points[first]
+    d2 = sq_dist(first)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centres[j] = points[rng.integers(n)]
             continue
-        idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
-        centres[j] = points[min(idx, n - 1)]
-        d2 = np.minimum(d2, np.sum((points - centres[j]) ** 2, axis=1))
+        idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
+        centres[j] = points[idx]
+        d2 = np.minimum(d2, sq_dist(idx))
     return centres
 
 
@@ -97,6 +115,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
     points, so the fitted centres are independent of input point order.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ClusterError(f"points must be a 2-D array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ClusterError("points contain NaN or infinite values")
     n = points.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
@@ -107,11 +129,14 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
 
     order = np.lexsort(points.T[::-1])
     sorted_points = points[order]
+    sq = np.einsum("ij,ij->i", sorted_points, sorted_points)
+    new_row = np.any(sorted_points[1:] != sorted_points[:-1], axis=1)
+    group = np.concatenate(([0], np.cumsum(new_row)))  # equal rows share an id
     rng = np.random.default_rng(seed)
 
     best = None
     for _ in range(n_restarts):
-        init = _kmeans_pp_init(sorted_points, k, rng)
+        init = _kmeans_pp_init(sorted_points, sq, group, k, rng)
         centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, MAX_ITER)
         if best is None or inertia < best[2]:
             best = (centres, sorted_labels, inertia, history)
@@ -142,7 +167,7 @@ def save_clusters(model: ClusterModel, path) -> None:
 def load_clusters(path) -> ClusterModel:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-        return ClusterModel(
+        model = ClusterModel(
             np.asarray(payload["centres"], dtype=float),
             np.asarray(payload["assignment"], dtype=np.int64),
             payload["representation"],
@@ -150,3 +175,6 @@ def load_clusters(path) -> ClusterModel:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ClusterError(f"{path}: malformed cluster file ({e})") from e
+    if not (np.isfinite(model.centres).all() and np.isfinite(model.inertia)):
+        raise ClusterError(f"{path}: cluster file holds NaN or infinite centres or inertia")
+    return model

@@ -95,7 +95,7 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
     if word_emb is not None:
         if word_emb.shape != (n_vocab, emb_dim):
             raise ModelError(f"pretrained embedding shape {word_emb.shape} != ({n_vocab}, {emb_dim})")
-        word_emb = np.array(word_emb, dtype=float)
+        word_emb = np.array(word_emb, dtype=float, order="C")
     else:
         word_emb = emb_init(n_vocab, emb_dim)
 
@@ -159,24 +159,6 @@ def kl_to_prior(stats: VariationalStats, prior_mean: np.ndarray) -> float:
     s2 = np.exp(2.0 * log_s)
     diff = m - prior_mean
     return float(0.5 * (s2.sum() + diff @ diff - m.size) - log_s.sum())
-
-
-def prior_mean(params: ModelParams, doc_id: int) -> np.ndarray:
-    m0 = np.zeros(params.n_topics)
-    if params.kind == "modified":
-        m0[params.assignment[doc_id]] = np.exp(params.log_lambda[doc_id])
-    return m0
-
-
-def doc_log_likelihood(params: ModelParams, doc: Document, x: np.ndarray,
-                       log_beta: np.ndarray | None = None) -> float:
-    """sum_i log sum_t p(w_i|t) softmax(x)_t via log-sum-exp."""
-    if log_beta is None:
-        log_beta = log_topic_word_matrix(params)
-    log_theta = x - logsumexp(x)
-    counts = doc_term_matrix([doc], params.n_vocab)
-    log_p = logsumexp(log_theta[:, None] + log_beta[:, counts.indices], axis=0)
-    return float(counts.data @ log_p)
 
 
 def _noise(seed: int, n_docs: int, n_topics: int) -> np.ndarray:

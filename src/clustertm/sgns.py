@@ -55,37 +55,15 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sgns_loss_and_grad(center: int, context: int, negatives, w_in: np.ndarray, w_out: np.ndarray):
-    """Negative-sampling loss -log s(u.v) - sum_neg log s(-u.v_neg) and its analytic gradients.
-
-    Returns (loss, grad_center_row, {output_row_id: grad}) without touching the matrices.
-    """
-    n_words = w_in.shape[0]
-    for idx in (center, context, *negatives):
-        if not 0 <= idx < n_words:
-            raise SgnsError(f"word id {idx} out of range [0, {n_words})")
-    u = w_in[center]
-    loss = 0.0
-    g_u = np.zeros_like(u)
-    g_out: dict[int, np.ndarray] = {}
-    for idx, label in [(context, 1.0)] + [(n, 0.0) for n in negatives]:
-        v = w_out[idx]
-        score = _sigmoid(u @ v)
-        loss -= np.log(score) if label else np.log1p(-score)
-        coef = score - label  # d(-log sigma(+/- u.v))/d(u.v)
-        g_u += coef * v
-        g_out[idx] = g_out.get(idx, 0.0) + coef * u
-    return loss, g_u, g_out
-
-
 def _pair_step(w_in: np.ndarray, w_out: np.ndarray, centres: np.ndarray, outputs: np.ndarray,
                lr: np.ndarray) -> float:
     """One SGD step over a batch of pairs, all scored at the weights on entry.
 
     `centres` (P,) are input rows; `outputs` (P, 1+K) hold each pair's context
-    then its K negatives. Pair p's gradient, the sum of `sgns_loss_and_grad`'s,
-    is scaled by lr[p] and scattered with `np.subtract.at`, which adds repeated
-    rows up in a fixed order. Returns the summed loss.
+    then its K negatives. Pair p's gradient, that of the negative-sampling loss
+    -log s(u.v) - sum_neg log s(-u.v_neg), is scaled by lr[p] and scattered with
+    `np.subtract.at`, which adds repeated rows up in a fixed order. Returns the
+    summed loss.
     """
     u = w_in[centres]  # (P, D)
     v = w_out[outputs]  # (P, 1+K, D)
@@ -203,4 +181,6 @@ def load_embeddings(path) -> EmbeddingMatrix:
         raise SgnsError(f"{path}: malformed embedding file ({e})") from e
     if vectors.shape != (n, dim):
         raise SgnsError(f"{path}: expected {n}x{dim} embeddings, got {vectors.shape}")
+    if not np.isfinite(vectors).all():
+        raise SgnsError(f"{path}: embedding file holds NaN or infinite values")
     return EmbeddingMatrix(vectors, words)

@@ -16,6 +16,9 @@ from .cluster import ClusterModel
 from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
+# Adam updates a block in flat chunks of this many elements, so that its passes over
+# the block, the gradient, both moments and two temporaries stay in cache.
+ADAM_CHUNK = 1 << 14
 
 
 class TrainingError(Exception):
@@ -76,27 +79,40 @@ class Adam:
         self.t += 1
         for name, g in grads.items():
             if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
+                self.m[name] = np.zeros_like(blocks[name])
+                self.v[name] = np.zeros_like(blocks[name])
             self._update(blocks[name], g, self.m[name], self.v[name])
 
     def _update(self, block, g, m, v):
-        """In place, with two temporaries the size of `g`, and in the operation order of
+        """In place, chunk by chunk, in the operation order of
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps).
+
+        `block`, `m` and `v` must be C-contiguous: their flat views are written. A
+        gradient in another layout (the encoder's W1 gradient is Fortran-ordered) is
+        copied into the block's layout first. It is converted here, not where it is
+        computed, because `_clip_global_norm` sums it in memory order.
         """
-        tmp, den = np.empty_like(g), np.empty_like(g)
-        m *= self.beta1
-        m += np.multiply(g, 1 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=tmp)
-        v += np.multiply(tmp, g, out=tmp)
-        np.divide(v, 1 - self.beta2 ** self.t, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
-        np.divide(m, 1 - self.beta1 ** self.t, out=tmp)
-        tmp *= self.lr
-        tmp /= den
-        block += tmp
+        if not all(a.flags.c_contiguous for a in (block, m, v)):
+            raise TrainingError("Adam updates C-contiguous blocks and moments in place")
+        block, m, v, g = (a.reshape(-1) for a in (block, m, v, g))
+        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
+        tmp_buf, den_buf = np.empty((2, min(ADAM_CHUNK, g.size)))
+        for start in range(0, g.size, ADAM_CHUNK):
+            sl = slice(start, start + ADAM_CHUNK)
+            gc, mc, vc = g[sl], m[sl], v[sl]
+            tmp, den = tmp_buf[: gc.size], den_buf[: gc.size]
+            mc *= self.beta1
+            mc += np.multiply(gc, 1 - self.beta1, out=tmp)
+            vc *= self.beta2
+            np.multiply(gc, 1 - self.beta2, out=tmp)
+            vc += np.multiply(tmp, gc, out=tmp)
+            np.divide(vc, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(mc, c1, out=tmp)
+            tmp *= self.lr
+            tmp /= den
+            block[sl] += tmp
 
 
 # ETM's training choices (Dieng, Ruiz & Blei 2020): decay of the encoder weights only

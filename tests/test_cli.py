@@ -48,6 +48,19 @@ def test_cluster_rejects_corpus_with_empty_document(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cluster_rejects_embeddings_with_nan(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"vocab": ["a", "b", "c", "d"],
+                                  "docs": [[0, 1], [2, 3], [0, 2], [1, 3]]}), "utf-8")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("4 2\na 0.1 0.2\nb nan 0.4\nc 0.5 0.6\nd 0.7 0.8\n", "utf-8")
+    out = tmp_path / "clusters.json"
+    assert run(["cluster", corpus, out, "--embeddings", emb, "--k", 2]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SgnsError") and "NaN" in err[0]
+    assert not out.exists()
+
+
 def test_preprocess_writes_corpus_and_manifest(texts_dir, tmp_path):
     out = tmp_path / "corpus.json"
     assert run(["preprocess", texts_dir, out, "--min-freq", 2]) == 0

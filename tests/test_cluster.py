@@ -1,14 +1,17 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from clustertm import cluster
 from clustertm.cluster import (ClusterError, _lloyd, cluster_corpus, kmeans,
                                load_clusters, save_clusters,
                                vectorize_documents)
 from clustertm.sgns import EmbeddingMatrix
-from conftest import make_corpus
+import kmeans_reference
+from conftest import make_corpus, make_planted
 
 
 def brute_force_inertia(points, k):
@@ -144,3 +147,98 @@ def test_cluster_corpus_and_roundtrip(tmp_path):
     assert np.allclose(back.centres, model.centres)
     assert np.array_equal(back.assignment, model.assignment)
     assert back.representation == model.representation
+
+
+def test_kmeans_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        points = np.random.default_rng(3).normal(size=(10, 2))
+        points[4, 1] = bad
+        with pytest.raises(ClusterError, match="NaN or infinite"):
+            kmeans(points, 2)
+
+
+def test_kmeans_rejects_one_dimensional_points():
+    with pytest.raises(ClusterError, match="2-D"):
+        kmeans(np.arange(6.0), 2)
+
+
+def test_load_clusters_rejects_non_finite_values(tmp_path):
+    model = kmeans(np.random.default_rng(2).normal(size=(8, 2)), 2, seed=0)
+    path = tmp_path / "clusters.json"
+    for field, value in (("centres", [[0.5, float("nan")], [1.0, 2.0]]), ("inertia", float("inf"))):
+        save_clusters(model, path)
+        payload = json.loads(path.read_text("utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), "utf-8")
+        with pytest.raises(ClusterError, match="NaN or infinite"):
+            load_clusters(path)
+
+
+# ---------------------------------------------------- reference seeding oracle
+
+def seeded_run(fit, module, points, k, seed, n_restarts):
+    """`fit`'s model, plus the initial centres it handed to each Lloyd run."""
+    inits = []
+
+    def lloyd(points, centres, max_iter):
+        inits.append(centres.copy())
+        return _lloyd(points, centres, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_lloyd", lloyd)
+        return fit(points, k, seed=seed, n_restarts=n_restarts), inits
+
+
+def assert_matches_reference(points, k, seed, n_restarts):
+    got, got_inits = seeded_run(kmeans, cluster, points, k, seed, n_restarts)
+    want, want_inits = seeded_run(kmeans_reference.reference_kmeans, kmeans_reference,
+                                  points, k, seed, n_restarts)
+    assert [c.tobytes() for c in got_inits] == [c.tobytes() for c in want_inits]
+    assert got.centres.tobytes() == want.centres.tobytes()
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.inertia == want.inertia
+    assert got.inertia_history == want.inertia_history
+
+
+@pytest.fixture(scope="module")
+def planted_corpora():
+    return [make_planted(seed)[0] for seed in range(1, 6)]
+
+
+def test_kmeans_matches_reference_on_planted_tfidf(planted_corpora):
+    for seed, corpus in enumerate(planted_corpora, start=1):
+        assert_matches_reference(vectorize_documents(corpus), 5, seed, n_restarts=10)
+
+
+def test_kmeans_matches_reference_on_mean_embeddings(planted_corpora):
+    rng = np.random.default_rng(12)
+    for seed, corpus in enumerate(planted_corpora, start=1):
+        emb = EmbeddingMatrix(rng.normal(size=(corpus.vocab_size, 50)), corpus.vocabulary.words)
+        assert_matches_reference(vectorize_documents(corpus, emb), 5, seed, n_restarts=3)
+
+
+def test_kmeans_matches_reference_on_wide_sparse_tfidf():
+    corpus = make_planted(7, n_docs=300, n_vocab=2400, n_topics=20, n_common=20,
+                          len_lo=10, len_hi=30)[0]
+    points = vectorize_documents(corpus)
+    assert points.shape[1] >= 2000 and np.mean(points > 0) < 0.02
+    for seed in (0, 1):
+        assert_matches_reference(points, 20, seed, n_restarts=2)
+
+
+def test_kmeans_matches_reference_on_duplicate_heavy_points():
+    # grid values repeat rows often; resampled normal rows with k above the number
+    # of distinct rows exhaust the D^2 mass, so the re-draw branch of the seeding runs
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n, r = int(rng.integers(5, 40)), int(rng.integers(1, 5))
+        points = 0.5 * rng.integers(0, 3, size=(n, r))
+        assert_matches_reference(points, int(rng.integers(1, n + 1)), trial, n_restarts=2)
+    for trial in range(60):
+        distinct = int(rng.integers(1, 8))
+        dim = int(rng.integers(1, 6))
+        rows = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(distinct, dim))
+        n = int(rng.integers(distinct + 1, 30))
+        points = rows[rng.integers(distinct, size=n)]
+        k = int(rng.integers(len(np.unique(points, axis=0)) + 1, n + 1))
+        assert_matches_reference(points, k, trial, n_restarts=2)

@@ -5,9 +5,9 @@ import pytest
 
 from clustertm import sgns
 from clustertm.sgns import (EmbeddingMatrix, SgnsConfig, SgnsError,
-                            load_embeddings, pretrain, save_embeddings,
-                            sgns_loss_and_grad)
+                            load_embeddings, pretrain, save_embeddings)
 from conftest import make_corpus, rel_err
+from oracles import sgns_loss_and_grad
 
 
 def test_all_zero_vectors_loss_is_1_plus_k_log2():
@@ -110,6 +110,14 @@ def test_embeddings_roundtrip(tmp_path):
     back = load_embeddings(path)
     assert back.words == emb.words
     assert np.abs(back.vectors - emb.vectors).max() < 1e-6
+
+
+def test_load_embeddings_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "emb.txt"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"2 2\na 0.5 {bad}\nb 1.0 2.0\n", "utf-8")
+        with pytest.raises(SgnsError, match="NaN or infinite"):
+            load_embeddings(path)
 
 
 def test_learning_rate_decays_to_lr_min_under_subsampling(monkeypatch):

@@ -134,6 +134,47 @@ def test_adam_in_place_step_matches_reference_bit_for_bit():
             assert opt.v[k].tobytes() == ref.v[k].tobytes()
 
 
+def unchunked_adam_update(opt, block, g, m, v):
+    """`Adam._update` before it ran in chunks: whole-array passes, same operation order."""
+    tmp, den = np.empty_like(g), np.empty_like(g)
+    m *= opt.beta1
+    m += np.multiply(g, 1 - opt.beta1, out=tmp)
+    v *= opt.beta2
+    np.multiply(g, 1 - opt.beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(v, 1 - opt.beta2 ** opt.t, out=den)
+    np.sqrt(den, out=den)
+    den += opt.eps
+    np.divide(m, 1 - opt.beta1 ** opt.t, out=tmp)
+    tmp *= opt.lr
+    tmp /= den
+    block += tmp
+
+
+def test_chunked_adam_update_matches_unchunked_on_fortran_gradient():
+    # more than two chunks, the last one partial, and a gradient in the other layout
+    rng = np.random.default_rng(6)
+    shape = (3, training.ADAM_CHUNK - 5)
+    block = rng.normal(size=shape)
+    ref_block, ref_m, ref_v = block.copy(), np.zeros(shape), np.zeros(shape)
+    opt, ref = Adam(2e-3), Adam(2e-3)
+    for _ in range(5):
+        g = np.asfortranarray(rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape))
+        opt.step({"W": block}, {"W": g})
+        ref.t += 1
+        unchunked_adam_update(ref, ref_block, g, ref_m, ref_v)
+        assert block.tobytes() == ref_block.tobytes()
+        assert opt.m["W"].tobytes() == ref_m.tobytes()
+        assert opt.v["W"].tobytes() == ref_v.tobytes()
+
+
+def test_adam_rejects_block_without_flat_view():
+    # a flat reshape of a non-contiguous block is a copy, and the update would be lost
+    block = np.asfortranarray(np.random.default_rng(7).normal(size=(4, 5)))
+    with pytest.raises(TrainingError, match="C-contiguous"):
+        Adam(1e-3).step({"W": block}, {"W": np.ones((4, 5))})
+
+
 def test_adam_step_peak_memory_at_most_three_blocks():
     rng = np.random.default_rng(5)
     blocks = {"big": rng.normal(size=(400, 500)), "mid": rng.normal(size=(400, 300)),
