@@ -10,7 +10,7 @@ from .sgns import EmbeddingMatrix, SgnsConfig, load_embeddings, pretrain, save_e
 from .cluster import ClusterModel, cluster_corpus, kmeans, vectorize_documents  # noqa: F401
 from .model import (  # noqa: F401
     ModelParams, VariationalStats, elbo_and_grad, elbo_minibatch, encode,
-    infer_doc_topics, init_params, kl_to_prior, load_checkpoint,
+    init_params, kl_to_prior, load_checkpoint,
     log_topic_word_matrix, save_checkpoint, topic_embedding_modified,
 )
 from .lda_baseline import LdaState, fit_lda, lda_topic_word  # noqa: F401

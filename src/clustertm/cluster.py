@@ -89,8 +89,9 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
     for _ in range(max_iter):
         new_labels = _nearest(points, centres)
         history.append(float(np.sum((points - centres[new_labels]) ** 2, axis=1).sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            return centres, new_labels, history[-1], history  # centres unchanged since labelled
+        # centres unchanged since labelled, or no assignment can beat inertia 0
+        if history[-1] == 0.0 or (labels is not None and np.array_equal(new_labels, labels)):
+            return centres, new_labels, history[-1], history
         labels = new_labels
         for j in range(centres.shape[0]):
             members = points[labels == j]

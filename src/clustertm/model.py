@@ -27,12 +27,6 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _softmax(x):
-    z = x - np.max(x)
-    e = np.exp(z)
-    return e / e.sum()
-
-
 @dataclass
 class VariationalStats:
     mean: np.ndarray
@@ -107,6 +101,9 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
         raise ModelError("modified model requires cluster centres, assignment and g0")
     if centres.shape[0] != n_topics:
         raise ModelError(f"{centres.shape[0]} cluster centres for {n_topics} topics")
+    assignment = np.asarray(assignment)
+    if assignment.shape != (n_docs,) or ((assignment < 0) | (assignment >= n_topics)).any():
+        raise ModelError(f"cluster assignment of shape {assignment.shape} needs {n_docs} ids in [0, {n_topics})")
     r = centres.shape[1]
     xi = {"W1": w(emb_dim, r), "b1": np.zeros(emb_dim),
           "W2": w(emb_dim, emb_dim), "b2": np.zeros(emb_dim)}
@@ -120,45 +117,63 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def topic_embedding_modified(params: ModelParams) -> np.ndarray:
-    """Apply the centre->embedding network row-wise: tanh layer then linear."""
-    if params.kind != "modified":
-        raise ModelError("the centre network belongs to the modified model")
+def _centre_network(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh layer and output (#T, H) of the centre->embedding network."""
     c, xi = params.centres, params.xi
     if c.shape[1] != xi["W1"].shape[1]:
         raise ModelError(f"centre dim {c.shape[1]} != network input dim {xi['W1'].shape[1]}")
     h1 = np.tanh(c @ xi["W1"].T + xi["b1"])
-    return h1 @ xi["W2"].T + xi["b2"]
+    return h1, h1 @ xi["W2"].T + xi["b2"]
+
+
+def topic_embedding_modified(params: ModelParams) -> np.ndarray:
+    """Apply the centre->embedding network row-wise: tanh layer then linear."""
+    if params.kind != "modified":
+        raise ModelError("the centre network belongs to the modified model")
+    return _centre_network(params)[1]
+
+
+def _topic_side(params: ModelParams):
+    """log p(v|t), the topic embeddings and the centre network's tanh layer (None for ETM)."""
+    if params.kind == "etm":
+        h1, e_t = None, params.topic_emb
+        logits = e_t @ params.word_emb.T
+    else:
+        h1, e_t = _centre_network(params)
+        logits = e_t @ params.word_emb.T + params.log_g0[None, :]
+    return logits - logsumexp(logits, axis=1, keepdims=True), e_t, h1
 
 
 def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
     """(#T, #V) log p(v|t) for the active variant."""
-    if params.kind == "etm":
-        logits = params.topic_emb @ params.word_emb.T
-    else:
-        e_t = topic_embedding_modified(params)
-        logits = e_t @ params.word_emb.T + params.log_g0[None, :]
-    return logits - logsumexp(logits, axis=1, keepdims=True)
+    return _topic_side(params)[0]
+
+
+def _encoder(params: ModelParams, hist: sp.csr_matrix):
+    """(a1, z1, a2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts."""
+    enc = params.enc
+    a1 = hist @ enc["W1"].T + enc["b1"]
+    z1 = _softplus(a1)
+    a2 = z1 @ enc["W2"].T + enc["b2"]
+    z2 = _softplus(a2)
+    return a1, z1, a2, z2, z2 @ enc["Wm"].T + enc["bm"], z2 @ enc["Ws"].T + enc["bs"]
 
 
 def encode(params: ModelParams, doc: Document) -> VariationalStats:
-    """Mean and log-std of the variational Gaussian from L1-normalized counts."""
-    x = doc_term_matrix([doc], params.n_vocab).toarray()[0]
-    h = x / x.sum()
-    enc = params.enc
-    z1 = _softplus(enc["W1"] @ h + enc["b1"])
-    z2 = _softplus(enc["W2"] @ z1 + enc["b2"])
-    return VariationalStats(enc["Wm"] @ z2 + enc["bm"], enc["Ws"] @ z2 + enc["bs"])
+    """Mean and log-std of the variational Gaussian: the encoder on a one-row batch."""
+    x = doc_term_matrix([doc], params.n_vocab)
+    hist = sp.csr_matrix((x.data / x.data.sum(), x.indices, x.indptr), shape=x.shape)
+    *_, mean, log_s = _encoder(params, hist)
+    return VariationalStats(mean[0], log_s[0])
 
 
 def kl_to_prior(stats: VariationalStats, prior_mean: np.ndarray) -> float:
-    """KL( N(m, diag(s)^2) || N(m0, I) ), closed form."""
+    """KL( N(m, diag(s)^2) || N(m0, I) ), closed form; summed over the rows of a batch."""
     m, log_s = stats.mean, stats.log_std
     if m.shape != prior_mean.shape:
         raise ModelError("prior mean dimension mismatch")
-    s2 = np.exp(2.0 * log_s)
-    diff = m - prior_mean
-    return float(0.5 * (s2.sum() + diff @ diff - m.size) - log_s.sum())
+    s = np.exp(log_s)
+    return float(0.5 * ((s * s).sum() + ((m - prior_mean) ** 2).sum() - m.size) - log_s.sum())
 
 
 def _noise(seed: int, n_docs: int, n_topics: int) -> np.ndarray:
@@ -195,16 +210,11 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     ids = np.asarray(doc_ids, dtype=np.int64)
     eps = _noise(seed, n_docs, params.n_topics)
 
-    a1 = hist @ enc["W1"].T + enc["b1"]
-    z1 = _softplus(a1)
-    a2 = z1 @ enc["W2"].T + enc["b2"]
-    z2 = _softplus(a2)
-    mean = z2 @ enc["Wm"].T + enc["bm"]
-    log_s = z2 @ enc["Ws"].T + enc["bs"]
+    a1, z1, a2, z2, mean, log_s = _encoder(params, hist)
     s = np.exp(log_s)
     xtil = mean + s * eps
     log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
-    log_beta = log_topic_word_matrix(params)
+    log_beta, e_t, h1 = _topic_side(params)
     log_joint = log_theta[rows] + log_beta[:, x.indices].T
     log_p = logsumexp(log_joint, axis=1)
 
@@ -213,8 +223,7 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
         topic = params.assignment[ids]
         lam = np.exp(params.log_lambda[ids])
         m0[np.arange(n_docs), topic] = lam
-    kl = 0.5 * ((s * s).sum() + ((mean - m0) ** 2).sum() - mean.size) - log_s.sum()
-    elbo = float(x.data @ log_p) - kl_weight * float(kl)
+    elbo = float(x.data @ log_p) - kl_weight * kl_to_prior(VariationalStats(mean, log_s), m0)
 
     def backward() -> dict[str, np.ndarray]:
         # responsibilities n_{d,w} p(t | w, d), summed per document and per word
@@ -242,12 +251,9 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
 
         d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
         if params.kind == "etm":
-            e_t = params.topic_emb
             grads["topic_emb"] = d_logits @ params.word_emb
         else:
             xi = params.xi
-            h1 = np.tanh(params.centres @ xi["W1"].T + xi["b1"])
-            e_t = h1 @ xi["W2"].T + xi["b2"]
             d_e = d_logits @ params.word_emb
             grads["xi.W2"] = d_e.T @ h1
             grads["xi.b2"] = d_e.sum(axis=0)
@@ -264,27 +270,20 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     return elbo, backward
 
 
-def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int,
-                   kl_weight: float = 1.0) -> float:
-    """Single-sample reparameterized ELBO summed over the batch.
-
-    `kl_weight` < 1 gives the annealed objective used early in training.
-    """
-    return _forward(params, docs, doc_ids, seed, kl_weight)[0]
+def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int) -> float:
+    """Single-sample reparameterized ELBO summed over the batch."""
+    return _forward(params, docs, doc_ids, seed, 1.0)[0]
 
 
 def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
                   kl_weight: float = 1.0):
     """ELBO value and its gradients at the same noise draw, in one pass.
 
+    `kl_weight` < 1 gives the annealed objective used early in training.
     Returns (elbo, grads) where grads has one array per trainable block.
     """
     elbo, backward = _forward(params, docs, doc_ids, seed, kl_weight)
     return elbo, backward()
-
-
-def infer_doc_topics(params: ModelParams, doc: Document) -> np.ndarray:
-    return _softmax(encode(params, doc).mean)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,24 @@ def test_topics_rejects_checkpoint_of_another_vocabulary(tmp_path, capsys, train
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ModelError:")
 
 
+@pytest.mark.parametrize("assignment", [[0, 1] * 5, [0, 1, -1, 0, 1, 0], [0, 1, 0],
+                                        [0, 1, 7, 0, 1, 0]])
+def test_train_modified_rejects_clusters_of_another_corpus(tmp_path, capsys, assignment):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"vocab": list("abcd"),
+                                  "docs": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]]}),
+                      "utf-8")
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(json.dumps({"centres": [[0.1, 0.2], [0.3, 0.4]], "assignment": assignment,
+                                    "representation": "tfidf", "inertia": 1.0}), "utf-8")
+    out = tmp_path / "model.ckpt"
+    assert run(["train", corpus, out, "--model", "modified", "--topics", 2, "--clusters", clusters,
+                "--config", write_config(tmp_path, epochs=1, emb_dim=4, hidden=8)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ModelError:") and "assignment" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value", [("--window", 0), ("--negatives", -1), ("--epochs", -1)])
 def test_pretrain_rejects_out_of_range_options(texts_dir, tmp_path, capsys, option, value):
     corpus = tmp_path / "corpus.json"

@@ -99,6 +99,14 @@ def test_lloyd_out_of_passes_labels_against_last_update():
     assert inertia < history[0]
 
 
+def test_lloyd_stops_at_zero_inertia():
+    # more clusters than distinct points: each pass re-seeds an empty cluster
+    points = np.repeat(np.random.default_rng(3).normal(size=(3, 2)), 4, axis=0)
+    model = kmeans(points, 5, seed=0, n_restarts=1)
+    assert model.inertia == 0.0
+    assert len(model.inertia_history) < cluster.MAX_ITER
+
+
 def test_kmeans_invariant_to_point_order():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(40, 2))

@@ -4,9 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clustertm import metrics, model
-from clustertm.corpus import Document
+from clustertm.corpus import Document, doc_term_matrix
 from conftest import make_corpus, rel_err
 import oracles
 
@@ -152,6 +153,24 @@ def test_encode_shape_and_finiteness():
     assert np.isfinite(stats.mean).all() and np.isfinite(stats.log_std).all()
 
 
+@pytest.mark.parametrize("make", [etm_params, modified_params])
+def test_encode_is_one_row_of_the_batch_encoder(make):
+    p = make(seed=6)
+    docs = random_docs(seed=14)
+    x = doc_term_matrix(docs, p.n_vocab)
+    rows = np.repeat(np.arange(len(docs)), np.diff(x.indptr))
+    hist = sp.csr_matrix((x.data / x.sum(axis=1).A1[rows], x.indices, x.indptr), shape=x.shape)
+    *_, mean, log_s = model._encoder(p, hist)
+    for j, doc in enumerate(docs):
+        stats = model.encode(p, doc)
+        *_, row_mean, row_log_s = model._encoder(p, hist[j])
+        assert np.array_equal(stats.mean, row_mean[0])
+        assert np.array_equal(stats.log_std, row_log_s[0])
+        # BLAS rounds a one-row product (gemv) differently from a batch (gemm)
+        assert np.allclose(stats.mean, mean[j], rtol=0, atol=1e-15)
+        assert np.allclose(stats.log_std, log_s[j], rtol=0, atol=1e-15)
+
+
 # ----------------------------------------------------------------------- KL
 
 def mc_kl(m, s, m0, n_samples=100_000, seed=0):
@@ -270,10 +289,12 @@ def test_elbo_value_agrees_with_per_document_computation():
 def test_elbo_and_grad_value_matches_elbo_minibatch():
     p = modified_params(seed=9)
     docs = random_docs(n_docs=4, seed=5)
+    full = model.elbo_minibatch(p, docs, range(4), seed=17)
+    kl = sum(model.kl_to_prior(model.encode(p, doc), oracles.prior_mean(p, j))
+             for j, doc in enumerate(docs))
     for klw in (1.0, 0.3):
         value, _ = model.elbo_and_grad(p, docs, range(4), seed=17, kl_weight=klw)
-        assert abs(value - model.elbo_minibatch(p, docs, range(4), seed=17,
-                                                kl_weight=klw)) < 1e-8
+        assert abs(value - (full + (1.0 - klw) * kl)) < 1e-8
 
 
 # ---------------------------------------------------------------- gradients
@@ -290,9 +311,9 @@ def fd_check(params, docs, n_coords=40, seed=19, kl_weight=1.0, h=1e-5):
         for i in rng.choice(flat.size, size=min(per_block, flat.size), replace=False):
             old = flat[i]
             flat[i] = old + h
-            fp = model.elbo_minibatch(params, docs, ids, seed=seed, kl_weight=kl_weight)
+            fp = model.elbo_and_grad(params, docs, ids, seed=seed, kl_weight=kl_weight)[0]
             flat[i] = old - h
-            fm = model.elbo_minibatch(params, docs, ids, seed=seed, kl_weight=kl_weight)
+            fm = model.elbo_and_grad(params, docs, ids, seed=seed, kl_weight=kl_weight)[0]
             flat[i] = old
             worst = max(worst, rel_err((fp - fm) / (2 * h), grads[name].ravel()[i]))
     return worst
@@ -344,21 +365,7 @@ def test_elbo_and_grad_finite_with_unseen_zero_frequency_word():
         assert np.isfinite(g).all(), name
 
 
-# ------------------------------------------------------- inference and tops
-
-def test_infer_doc_topics_zero_encoder_uniform():
-    p = zero_encoder(etm_params())
-    probs = model.infer_doc_topics(p, Document(tokens=[1, 2]))
-    assert np.allclose(probs, 1.0 / 3, atol=1e-12)
-
-
-def test_infer_doc_topics_hand_softmax():
-    p = zero_encoder(etm_params(n_topics=2))
-    p.enc["bm"][:] = [np.log(2.0), 0.0]
-    probs = model.infer_doc_topics(p, Document(tokens=[0]))
-    assert np.allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
-    assert abs(probs.sum() - 1.0) < 1e-9
-
+# ---------------------------------------------------------------- top words
 
 def test_top_words_full_vocabulary_sorted():
     p = etm_params(seed=16)

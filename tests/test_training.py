@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from clustertm import model, training
 from clustertm.cluster import cluster_corpus
 from clustertm.training import (Adam, TrainConfig, TrainingError,
                                 cluster_hash, fit, run_experiment)
-from conftest import make_corpus
+from conftest import make_corpus, make_planted
 
 
 def small_corpus(seed=0, n_docs=30, n_vocab=25):
@@ -276,3 +277,23 @@ def test_run_experiment_single_row():
     rows = run_experiment(small_corpus(),
                           [{"model": "lda", "n_topics": 2, "sweeps": 3}], n_top=4)
     assert len(rows) == 1
+
+
+def test_benchmark_tracer_sees_every_training_step(monkeypatch):
+    # bench/spans.py times the layers by wrapping module attributes; a fit that
+    # stops calling the traced model.elbo_and_grad would read 0 steps there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    boundaries = spans._boundaries()
+    assert len(boundaries) == 13
+    assert all(callable(getattr(module, attr)) for module, attr, *_ in boundaries)
+    corpus, _ = make_planted(1, n_docs=40)
+    config = small_config(n_topics=5, epochs=2)
+    tracer = spans.Tracer()
+    with tracer.patched():
+        training.fit(corpus, None, config)
+    layers = spans.layer_metrics(tracer, tracer.spans)
+    steps = config.epochs * len(range(0, corpus.n_docs, config.batch_size))
+    assert layers["model.elbo_and_grad_calls"] == steps
+    assert layers["training.epoch_s"] > 0
