@@ -168,6 +168,9 @@ def save_clusters(model: ClusterModel, path) -> None:
 def load_clusters(path) -> ClusterModel:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
+        bad = [a for a in payload["assignment"] if type(a) is not int]  # bool is not int here
+        if bad:
+            raise ClusterError(f"{path}: cluster id {bad[0]!r} is not an integer")
         model = ClusterModel(
             np.asarray(payload["centres"], dtype=float),
             np.asarray(payload["assignment"], dtype=np.int64),

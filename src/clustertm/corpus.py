@@ -24,20 +24,18 @@ class CorpusError(Exception):
     pass
 
 
-def default_stopwords() -> set[str]:
-    """Bundled pronoun/preposition/function-word list; editable by passing your own."""
-    text = resources.files("clustertm.data").joinpath("stopwords.txt").read_text("utf-8")
+def _word_lines(text: str) -> set[str]:
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
+def default_stopwords() -> set[str]:
+    """Bundled pronoun/preposition/function-word list; editable by passing your own."""
+    return _word_lines(resources.files("clustertm.data").joinpath("stopwords.txt").read_text("utf-8"))
+
+
 def load_stopwords(paths) -> set[str]:
-    words: set[str] = set()
-    for p in paths:
-        for line in Path(p).read_text("utf-8").splitlines():
-            w = line.strip()
-            if w:
-                words.add(w)
-    return words
+    """One word per line; no files give the empty set."""
+    return set().union(*(_word_lines(Path(p).read_text("utf-8")) for p in paths))
 
 
 def load_lemma_dict(path) -> dict[str, str]:
@@ -220,9 +218,12 @@ def load_corpus(path) -> Corpus:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
         vocab = Vocabulary(payload["vocab"])
-        docs = [Document(list(map(int, toks))) for toks in payload["docs"]]
+        docs = [Document(list(toks)) for toks in payload["docs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e
+    bad = [t for d in docs for t in d.tokens if type(t) is not int]  # bool is not int here
+    if bad:
+        raise CorpusError(f"{path}: token id {bad[0]!r} is not an integer")
     try:
         return Corpus(docs, vocab)
     except CorpusError as e:

@@ -9,6 +9,8 @@ import numpy as np
 
 from .corpus import Corpus
 
+SWEEPS = 1000  # Gibbs sweeps when the caller names none
+
 
 class LdaError(Exception):
     pass
@@ -29,7 +31,7 @@ class LdaState:
 
 
 def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: float = 0.01,
-            sweeps: int = 1000, seed: int = 0, on_sweep=None) -> LdaState:
+            sweeps: int = SWEEPS, seed: int = 0, on_sweep=None) -> LdaState:
     """Run collapsed Gibbs sweeps; last sample kept. Deterministic given the seed.
 
     `on_sweep(z)` is called with the assignment arrays after every sweep, for

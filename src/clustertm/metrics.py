@@ -11,6 +11,8 @@ import numpy as np
 
 from .corpus import Corpus
 
+N_TOP = 10  # top words per topic scored by TC and WSWF unless the caller names another count
+
 
 class MetricsError(Exception):
     pass
@@ -83,7 +85,9 @@ def topic_coherence(corpus: Corpus, top_word_ids: list[list[int]],
     if n_top < 2:
         raise MetricsError("topic coherence needs at least two top words")
     per_topic = []
-    for words in top_word_ids:
+    for t, words in enumerate(top_word_ids):
+        if len(words) < n_top:
+            raise MetricsError(f"topic {t} has {len(words)} top words, fewer than n_top={n_top}")
         words = list(words)[:n_top]
         p_u, p_uv = cooccurrence_stats(corpus, words)
         total = 0.0

@@ -60,7 +60,7 @@ class ModelParams:
 
 
 def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: int,
-                hidden: int = 800, seed: int = 0, word_emb: np.ndarray | None = None,
+                hidden: int, seed: int = 0, word_emb: np.ndarray | None = None,
                 freeze_word_emb: bool = False, centres: np.ndarray | None = None,
                 log_g0: np.ndarray | None = None,
                 assignment: np.ndarray | None = None) -> ModelParams:

@@ -209,22 +209,21 @@ def cluster_hash(cluster_model: ClusterModel) -> str:
 
 
 def run_experiment(corpus: Corpus, configs: list[dict], cluster_model: ClusterModel | None = None,
-                   n_top: int = 10, out_dir=None) -> list[dict]:
+                   n_top: int = metrics.N_TOP, out_dir=None) -> list[dict]:
     """Train and evaluate each requested variant; one result row per config.
 
     Each config dict needs `model` in {"lda", "etm", "modified"} plus keyword
     overrides for TrainConfig (neural) or fit_lda (LDA).
     """
-    out_dir = Path(out_dir) if out_dir is not None else None
     rows = []
     for i, spec in enumerate(configs):
         spec = dict(spec)
         kind = spec.pop("model")
         label = spec.pop("label", kind)
-        ckpt = out_dir / f"run{i}_{kind}.ckpt" if out_dir else None
+        ckpt = Path(out_dir) / f"run{i}_{kind}.ckpt" if out_dir is not None else None
 
         if kind == "lda":
-            state = lda_baseline.fit_lda(corpus, spec.pop("n_topics", 50), **spec)
+            state = lda_baseline.fit_lda(corpus, spec.pop("n_topics", TrainConfig.n_topics), **spec)
             beta_tw = lda_baseline.lda_topic_word(state)
             tops = metrics.top_words_from_matrix(beta_tw, n_top)
         elif kind in ("etm", "modified"):

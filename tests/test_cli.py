@@ -1,11 +1,14 @@
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clustertm import cli
-from clustertm.corpus import load_corpus
+from clustertm import cli, training
+from clustertm.corpus import PreprocessOptions, load_corpus
 from clustertm.manifest import sha256_file
+from clustertm.sgns import SgnsConfig
 
 
 @pytest.fixture()
@@ -253,3 +256,89 @@ def test_pretrain_rejects_out_of_range_options(texts_dir, tmp_path, capsys, opti
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: SgnsError:") and option[2:] in err[0]
     assert not out.exists()
+
+
+def read_manifest(artifact):
+    return json.loads(Path(str(artifact) + ".manifest.json").read_text("utf-8"))
+
+
+def test_preprocess_and_pretrain_manifests_record_effective_defaults(texts_dir, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    emb = tmp_path / "emb.txt"
+    assert run(["preprocess", texts_dir, corpus]) == 0
+    assert run(["pretrain", corpus, emb, "--dim", 4]) == 0
+    assert read_manifest(corpus)["config"] == {"min_freq": PreprocessOptions().min_freq,
+                                               "stopwords": None, "lemma": None}
+    assert read_manifest(emb)["config"] == {"dim": 4, **asdict(SgnsConfig())}
+
+
+def test_preprocess_with_empty_stopword_list_keeps_every_word(tmp_path):
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text("".join(json.dumps({"text": t}) + "\n"
+                             for t in ("the cat sat on the mat", "the dog and the cat")), "utf-8")
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", texts, out, "--min-freq", 1, "--stopwords"]) == 0
+    words = load_corpus(out).vocabulary.words
+    assert {"the", "on", "and"} <= set(words)
+    assert read_manifest(out)["config"]["stopwords"] == []
+
+
+def test_parser_defaults_of_k_and_dim_follow_train_config(monkeypatch):
+    monkeypatch.setattr(training.TrainConfig, "n_topics", 7)
+    monkeypatch.setattr(training.TrainConfig, "emb_dim", 9)
+    parser = cli.build_parser()
+    assert parser.parse_args(["cluster", "c.json", "out.json"]).k == 7
+    assert parser.parse_args(["pretrain", "c.json", "emb.txt"]).dim == 9
+
+
+@pytest.mark.parametrize("kind, key", [("etm", "seed"), ("lda", "seed"), ("etm", "pretrained_path")])
+def test_train_reads_setting_from_config_as_from_its_flag(texts_dir, tmp_path, kind, key):
+    corpus = tmp_path / "corpus.json"
+    emb = tmp_path / "emb.txt"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    run(["pretrain", corpus, emb, "--dim", 4, "--epochs", 1])
+    base = {"sweeps": 3} if kind == "lda" else {"epochs": 2, "emb_dim": 4, "hidden": 8}
+    value, flag = (7, "--seed") if key == "seed" else (str(emb), "--pretrained")
+    outputs = []
+    for name, settings, flags in (("file", {**base, key: value}, []), ("flag", base, [flag, value])):
+        out = tmp_path / f"{name}.out"
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(settings), "utf-8")
+        assert run(["train", corpus, out, "--model", kind, "--topics", 2,
+                    "--config", config, *flags]) == 0
+        outputs.append(out.read_bytes())
+        if key == "pretrained_path":
+            assert read_manifest(out)["inputs"][str(emb)] == sha256_file(emb)
+            assert read_manifest(out)["config"]["freeze_word_emb"] is True
+    assert outputs[0] == outputs[1]
+    default = tmp_path / "default.out"
+    config = write_config(tmp_path, **base)
+    assert run(["train", corpus, default, "--model", kind, "--topics", 2, "--config", config]) == 0
+    assert default.read_bytes() != outputs[0]
+
+
+def test_topics_command_reads_lda_topics_json(texts_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    topics = tmp_path / "lda_topics.json"
+    assert run(["train", corpus, topics, "--model", "lda", "--topics", 2,
+                "--config", write_config(tmp_path, sweeps=2)]) == 0
+    capsys.readouterr()
+    assert run(["topics", corpus, topics, "--n", 3]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["topic 0", "topic 1"]
+    assert all(len(ln.split(": ")[1].split()) == 3 for ln in lines)
+
+
+def test_eval_rejects_topics_with_fewer_than_n_words(texts_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    topics = tmp_path / "lda_topics.json"
+    assert run(["train", corpus, topics, "--model", "lda", "--topics", 2, "--n-top", 5,
+                "--config", write_config(tmp_path, sweeps=2)]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", corpus, topics, report, "--n", 10]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: MetricsError:") and "topic 0" in err[0]
+    assert not report.exists()

@@ -182,6 +182,19 @@ def test_load_clusters_rejects_non_finite_values(tmp_path):
             load_clusters(path)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, True])
+def test_load_clusters_rejects_ids_that_are_not_integers(tmp_path, bad):
+    model = kmeans(np.random.default_rng(2).normal(size=(8, 2)), 2, seed=0)
+    path = tmp_path / "clusters.json"
+    save_clusters(model, path)
+    payload = json.loads(path.read_text("utf-8"))
+    payload["assignment"][1] = bad
+    path.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(ClusterError, match="not an integer") as err:
+        load_clusters(path)
+    assert repr(bad) in str(err.value) and "\n" not in str(err.value)
+
+
 # ---------------------------------------------------- reference seeding oracle
 
 def seeded_run(fit, module, points, k, seed, n_restarts):

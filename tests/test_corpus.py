@@ -139,6 +139,15 @@ def test_load_corpus_rejects_inconsistent_content(tmp_path, docs, g0):
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [1.7, "2", True])
+def test_load_corpus_rejects_token_ids_that_are_not_integers(tmp_path, bad):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": ["a", "b", "c"], "docs": [[0, 1], [bad, 2]]}), "utf-8")
+    with pytest.raises(CorpusError, match="not an integer") as err:
+        load_corpus(path)
+    assert repr(bad) in str(err.value) and "\n" not in str(err.value)
+
+
 def test_read_texts_directory_and_jsonl(tmp_path):
     d = tmp_path / "docs"
     d.mkdir()
