@@ -71,6 +71,12 @@ def cmd_cluster(args) -> None:
 
 def cmd_train(args) -> None:
     """Settings: a typed flag, else the --config value, else the library default."""
+    unread = (_typed(clusters=args.clusters, pretrained=args.pretrained,
+                     tune_embeddings=args.tune_embeddings, report=args.report)
+              if args.model == "lda" else _typed(n_top=args.n_top))
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise training.TrainingError(f"--model {args.model} does not read {flags}")
     corpus = corpus_mod.load_corpus(args.corpus)
     settings = _load_config_file(args.config) if args.config else {}
     settings.update(_typed(n_topics=args.topics, seed=args.seed))
@@ -83,8 +89,9 @@ def cmd_train(args) -> None:
         seed = settings.pop("seed", training.TrainConfig.seed)
         lda = {"n_topics": training.TrainConfig.n_topics, "sweeps": lda_baseline.SWEEPS, **settings}
         state = lda_baseline.fit_lda(corpus, **lda, seed=seed)
-        tops = metrics.top_words_from_matrix(lda_baseline.lda_topic_word(state), args.n_top)
-        metrics.save_topics(tops, corpus.vocabulary.words, args.n_top, args.output)
+        n_top = metrics.N_TOP if args.n_top is None else args.n_top
+        tops = metrics.top_words_from_matrix(lda_baseline.lda_topic_word(state), n_top)
+        metrics.save_topics(tops, corpus.vocabulary.words, n_top, args.output)
         manifest.write_manifest(args.output, "train", {"model": "lda", **lda}, inputs, seed=seed)
         print(f"wrote {args.output} (lda topics, #T={lda['n_topics']})")
         return
@@ -178,11 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("lda", "etm", "modified"), required=True)
     p.add_argument("--clusters", default=None)
     p.add_argument("--pretrained", default=None, help="embedding file from `pretrain`")
-    p.add_argument("--tune-embeddings", action="store_true",
+    p.add_argument("--tune-embeddings", action="store_true", default=None,
                    help="keep pretrained word embeddings trainable")
     p.add_argument("--topics", type=int,
                    help=f"number of topics (default {training.TrainConfig.n_topics})")
-    p.add_argument("--n-top", type=int, default=metrics.N_TOP, dest="n_top")
+    p.add_argument("--n-top", type=int, dest="n_top",
+                   help=f"top words per topic in the LDA topics file (default {metrics.N_TOP})")
     p.add_argument("--config", default=None, help="TOML/JSON TrainConfig overrides")
     p.add_argument("--report", default=None, help="write the training report JSON here")
     p.add_argument("--seed", type=int)

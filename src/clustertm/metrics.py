@@ -53,11 +53,8 @@ class MetricsReport:
 
 def top_words_from_matrix(topic_word: np.ndarray, n: int) -> list[list[tuple[int, float]]]:
     """Per topic: n (word-id, probability) pairs, descending, ties by id ascending."""
-    out = []
-    for row in topic_word:
-        order = np.lexsort((np.arange(row.size), -row))[:n]
-        out.append([(int(v), float(row[v])) for v in order])
-    return out
+    order = np.argsort(-topic_word, axis=1, kind="stable")[:, :n]
+    return [[(int(v), float(row[v])) for v in ids] for row, ids in zip(topic_word, order)]
 
 
 def cooccurrence_stats(corpus: Corpus, word_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -68,35 +65,33 @@ def cooccurrence_stats(corpus: Corpus, word_ids) -> tuple[np.ndarray, np.ndarray
     return p_u, p_uv
 
 
-def npmi(p_u: float, p_v: float, p_uv: float) -> float:
-    """Normalized PMI in [-1, 1]; -1 at zero co-occurrence, 1 at perfect co-occurrence."""
-    if p_u <= 0 or p_v <= 0:
+def npmi(p_u, p_v, p_uv):
+    """Normalized PMI in [-1, 1], elementwise; -1 at zero co-occurrence, 1 at p_uv = p_u = p_v."""
+    p_u, p_v, p_uv = (np.asarray(x, dtype=float) for x in (p_u, p_v, p_uv))
+    if np.any(p_u <= 0) or np.any(p_v <= 0):
         raise MetricsError("word never appears in the corpus")
-    if p_uv == 0:
-        return -1.0
-    if p_uv == p_u == p_v:
-        return 1.0
-    return math.log(p_uv / (p_u * p_v)) / (-math.log(p_uv))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.log(p_uv / (p_u * p_v)) / -np.log(p_uv)
+    value = np.where(p_uv == 0, -1.0, np.where((p_uv == p_u) & (p_uv == p_v), 1.0, value))
+    return float(value) if value.ndim == 0 else value
 
 
 def topic_coherence(corpus: Corpus, top_word_ids: list[list[int]],
                     n_top: int) -> tuple[list[float], float]:
-    """Mean NPMI over ordered pairs of distinct top words, per topic and averaged."""
+    """Mean NPMI over ordered pairs of distinct top-word positions, per topic and averaged."""
     if n_top < 2:
         raise MetricsError("topic coherence needs at least two top words")
-    per_topic = []
     for t, words in enumerate(top_word_ids):
         if len(words) < n_top:
             raise MetricsError(f"topic {t} has {len(words)} top words, fewer than n_top={n_top}")
-        words = list(words)[:n_top]
-        p_u, p_uv = cooccurrence_stats(corpus, words)
-        total = 0.0
-        for a in range(len(words)):
-            for b in range(len(words)):
-                if a != b:
-                    total += npmi(p_u[a], p_u[b], p_uv[a, b])
-        per_topic.append(total / (n_top * (n_top - 1)))
-    return per_topic, float(np.mean(per_topic))
+    ids = np.array([list(words)[:n_top] for words in top_word_ids], dtype=np.int64)
+    union, local = np.unique(ids, return_inverse=True)  # one count serves every topic
+    p_u, p_uv = cooccurrence_stats(corpus, union)
+    u = local.reshape(len(top_word_ids), n_top)[:, :, None]
+    v = u.transpose(0, 2, 1)
+    pairs = npmi(p_u[u], p_u[v], p_uv[u, v])
+    per_topic = pairs[:, ~np.eye(n_top, dtype=bool)].sum(axis=1) / (n_top * (n_top - 1))
+    return per_topic.tolist(), float(np.mean(per_topic))
 
 
 def wswf(g0: np.ndarray, top_words: list[list[tuple[int, float]]],
@@ -140,8 +135,12 @@ def save_topics(top_words: list[list[tuple[int, float]]], vocab_words: list[str]
 def load_topics(path, word_index: dict[str, int]) -> tuple[list[list[tuple[int, float]]], int]:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-        tops = [[(word_index[w], float(p)) for w, p in zip(t["words"], t["probs"])]
-                for t in payload["topics"]]
+        tops = []
+        for t, topic in enumerate(payload["topics"]):
+            words, probs = topic["words"], [float(p) for p in topic["probs"]]
+            if len(words) != len(probs) or not all(0.0 <= p <= 1.0 for p in probs):
+                raise MetricsError(f"{path}: topic {t} needs one probability in [0, 1] per word")
+            tops.append([(word_index[w], p) for w, p in zip(words, probs)])
         return tops, int(payload["N"])
     except KeyError as e:
         raise MetricsError(f"{path}: word {e} not in the corpus vocabulary") from e

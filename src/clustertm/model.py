@@ -309,7 +309,7 @@ def _all_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     return arrays
 
 
-def save_checkpoint(params: ModelParams, path, cluster_hash: str = "") -> None:
+def save_checkpoint(params: ModelParams, path) -> None:
     arrays = _all_arrays(params)
     meta = {
         "format": "clustertm-ckpt-v1",
@@ -317,7 +317,6 @@ def save_checkpoint(params: ModelParams, path, cluster_hash: str = "") -> None:
         "n_topics": params.n_topics,
         "emb_dim": params.emb_dim,
         "freeze_word_emb": params.freeze_word_emb,
-        "cluster_hash": cluster_hash,
         "arrays": [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
                    for k, v in arrays.items()],
     }

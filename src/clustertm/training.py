@@ -195,17 +195,9 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
 
     report.wall_time = time.monotonic() - t0
     if checkpoint_path is not None:
-        chash = cluster_hash(cluster_model) if cluster_model is not None else ""
-        model.save_checkpoint(params, checkpoint_path, cluster_hash=chash)
+        model.save_checkpoint(params, checkpoint_path)
         report.checkpoint_path = str(checkpoint_path)
     return params, report
-
-
-def cluster_hash(cluster_model: ClusterModel) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(cluster_model.centres).tobytes())
-    h.update(np.ascontiguousarray(cluster_model.assignment).tobytes())
-    return h.hexdigest()
 
 
 def run_experiment(corpus: Corpus, configs: list[dict], cluster_model: ClusterModel | None = None,

@@ -169,6 +169,30 @@ def test_train_lda_rejects_unread_or_invalid_config(texts_dir, tmp_path, capsys,
     assert not topics.exists()
 
 
+@pytest.mark.parametrize("kind, flags, named", [
+    ("lda", ["--pretrained", "missing.txt"], "--pretrained"),
+    ("lda", ["--clusters", "missing.json"], "--clusters"),
+    ("lda", ["--tune-embeddings"], "--tune-embeddings"),
+    ("lda", ["--report", "report.json"], "--report"),
+    ("etm", ["--n-top", 5], "--n-top"),
+    ("modified", ["--n-top", 5], "--n-top"),
+], ids=["lda-pretrained", "lda-clusters", "lda-tune-embeddings", "lda-report", "etm-n-top",
+        "modified-n-top"])
+def test_train_rejects_flags_the_model_does_not_read(texts_dir, tmp_path, capsys, monkeypatch,
+                                                      kind, flags, named):
+    monkeypatch.chdir(tmp_path)
+    run(["preprocess", texts_dir, "corpus.json", "--min-freq", 1])
+    config = write_config(tmp_path, **({"sweeps": 1} if kind == "lda" else
+                                       {"epochs": 1, "emb_dim": 4, "hidden": 8}))
+    capsys.readouterr()
+    assert run(["train", "corpus.json", "model.out", "--model", kind, "--topics", 2,
+                "--config", config, *flags]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        ["texts", "corpus.json", "corpus.json.manifest.json", "config.json"])
+
+
 def test_topics_command_prints_words(texts_dir, tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     run(["preprocess", texts_dir, corpus, "--min-freq", 1])

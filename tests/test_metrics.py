@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -64,6 +65,19 @@ def test_npmi_symmetric_and_bounded():
         assert abs(a - metrics.npmi(p_v, p_u, p_uv)) < 1e-12
         assert -1.0 - 1e-12 <= a <= 1.0 + 1e-12
 
+    # the array form equals its scalar calls, boundary cases included
+    p_u = np.concatenate([rng.uniform(0.05, 1.0, size=50), [0.5, 0.3, 1.0]])
+    p_v = np.concatenate([rng.uniform(0.05, 1.0, size=50), [0.5, 0.3, 0.5]])
+    p_uv = np.concatenate([rng.uniform(0.0, np.minimum(p_u[:50], p_v[:50])), [0.0, 0.3, 0.5]])
+    arr = metrics.npmi(p_u, p_v, p_uv)
+    assert arr.shape == p_u.shape
+    assert arr.tolist() == [metrics.npmi(*args) for args in zip(p_u, p_v, p_uv)]
+    assert arr[-3] == -1.0 and arr[-2] == 1.0 and abs(arr[-1]) < 1e-12
+    assert np.array_equal(metrics.npmi(p_u[:, None], p_v[None, :], 0.0),
+                          np.full((53, 53), -1.0))
+    with pytest.raises(metrics.MetricsError):
+        metrics.npmi(np.array([0.5, 0.0]), 0.5, 0.0)
+
 
 # ---------------------------------------------------------- topic coherence
 
@@ -95,16 +109,42 @@ def test_tc_always_cooccurring_words_is_one():
     assert per_topic == [tc]
 
 
-def test_tc_matches_brute_force_on_random_corpus():
+def _random_topics(rng, present, kind):
+    """Four 5-word topics: distinct words, words shared across topics, or a repeated word."""
+    if kind == "shared":
+        pool = list(rng.choice(present, size=8, replace=False))
+        return [list(rng.choice(pool, size=5, replace=False)) for _ in range(4)]
+    tops = [list(rng.choice(present, size=5, replace=False)) for _ in range(4)]
+    if kind == "repeated":
+        tops[2][3] = tops[2][0]
+    return tops
+
+
+@pytest.mark.parametrize("kind", ["distinct", "shared", "repeated"])
+def test_tc_matches_brute_force_on_random_corpus(kind):
     rng = np.random.default_rng(5)
     corpus = make_corpus([[int(x) for x in rng.integers(0, 30, size=rng.integers(3, 15))]
                           for _ in range(20)])
     present = sorted({t for d in corpus.documents for t in d.tokens})
-    top_ids = [list(rng.choice(present, size=5, replace=False)) for _ in range(4)]
+    top_ids = _random_topics(rng, present, kind)
     got_per, got = metrics.topic_coherence(corpus, top_ids, 5)
     want_per, want = brute_force_tc(corpus, top_ids, 5)
     assert np.allclose(got_per, want_per, atol=1e-12)
     assert abs(got - want) < 1e-12
+
+
+def test_tc_counts_cooccurrence_once_for_all_topics(monkeypatch):
+    rng = np.random.default_rng(6)
+    corpus = make_corpus([[int(x) for x in rng.integers(0, 12, size=6)] for _ in range(15)])
+    present = sorted({t for d in corpus.documents for t in d.tokens})
+    top_ids = [list(rng.choice(present, size=4, replace=False)) for _ in range(4)]
+    calls = []
+    counted = metrics.cooccurrence_stats
+    monkeypatch.setattr(metrics, "cooccurrence_stats",
+                        lambda *args: calls.append(args) or counted(*args))
+    per_topic, _ = metrics.topic_coherence(corpus, top_ids, 4)
+    assert len(per_topic) == 4
+    assert len(calls) == 1
 
 
 def test_tc_three_doc_hand_example():
@@ -218,6 +258,23 @@ def test_topics_file_roundtrip(tmp_path):
     back_tops, n_top = metrics.load_topics(path, corpus.vocabulary.index)
     assert n_top == 2
     assert back_tops == tops
+
+
+@pytest.mark.parametrize("topic", [
+    {"words": ["a", "b", "c"], "probs": [0.5, 0.3]},
+    {"words": ["a"], "probs": [0.5, 0.3]},
+    {"words": ["a", "b"], "probs": [float("nan"), 0.2]},
+    {"words": ["a", "b"], "probs": [float("inf"), 0.2]},
+    {"words": ["a", "b"], "probs": [-0.1, 0.2]},
+    {"words": ["a", "b"], "probs": [1.5, 0.2]},
+], ids=["more-words", "more-probs", "nan", "inf", "negative", "above-one"])
+def test_load_topics_rejects_mismatched_or_invalid_probabilities(tmp_path, topic):
+    corpus, _ = make_report()
+    path = tmp_path / "topics.json"
+    path.write_text(json.dumps({"topics": [{"words": ["d", "c"], "probs": [0.4, 0.2]}, topic],
+                                "N": 2}), "utf-8")
+    with pytest.raises(metrics.MetricsError, match="topic 1"):
+        metrics.load_topics(path, corpus.vocabulary.index)
 
 
 def test_report_json_roundtrip():

@@ -396,12 +396,11 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
     for p in (etm_params(seed=20), modified_params(seed=20)):
         a = tmp_path / f"{p.kind}_a.ckpt"
         b = tmp_path / f"{p.kind}_b.ckpt"
-        model.save_checkpoint(p, a, cluster_hash="deadbeef")
-        model.save_checkpoint(p, b, cluster_hash="deadbeef")
+        model.save_checkpoint(p, a)
+        model.save_checkpoint(p, b)
         assert a.read_bytes() == b.read_bytes()
         back, meta = model.load_checkpoint(a)
         assert back.kind == p.kind
-        assert meta["cluster_hash"] == "deadbeef"
         for name, arr in model.trainable_blocks(p).items():
             assert np.array_equal(model.trainable_blocks(back)[name], arr)
 
@@ -431,3 +430,21 @@ def test_load_checkpoint_rejects_damaged_file(tmp_path):
             model.load_checkpoint(bad)
         assert str(bad) in str(err.value), what
         assert "\n" not in str(err.value), what
+
+
+def test_checkpoint_header_with_cluster_hash_still_loads(tmp_path):
+    """Older checkpoints carry a `cluster_hash` header key; it is read past."""
+    path = tmp_path / "new.ckpt"
+    p = modified_params(seed=22)
+    model.save_checkpoint(p, path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data)
+    header = json.loads(data[8 : 8 + hlen])
+    assert "cluster_hash" not in header
+    old = json.dumps({**header, "cluster_hash": "ab" * 32}, sort_keys=True).encode("utf-8")
+    old_path = tmp_path / "old.ckpt"
+    old_path.write_bytes(struct.pack("<Q", len(old)) + old + data[8 + hlen:])
+    back, meta = model.load_checkpoint(old_path)
+    assert meta["cluster_hash"] == "ab" * 32
+    for name, arr in model.trainable_blocks(p).items():
+        assert np.array_equal(model.trainable_blocks(back)[name], arr)

@@ -6,8 +6,7 @@ import pytest
 
 from clustertm import model, training
 from clustertm.cluster import cluster_corpus
-from clustertm.training import (Adam, TrainConfig, TrainingError,
-                                cluster_hash, fit, run_experiment)
+from clustertm.training import Adam, TrainConfig, TrainingError, fit, run_experiment
 from conftest import make_corpus, make_planted
 
 
@@ -234,16 +233,6 @@ def test_aborted_run_leaves_no_partial_checkpoint(tmp_path, monkeypatch):
         fit(corpus, None, small_config(), checkpoint_path=path)
     assert not path.exists()
     assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_cluster_hash_stable_and_sensitive():
-    corpus = small_corpus()
-    a = cluster_corpus(corpus, 3, seed=0)
-    b = cluster_corpus(corpus, 3, seed=0)
-    assert cluster_hash(a) == cluster_hash(b)
-    a.assignment = a.assignment.copy()
-    a.assignment[0] = (a.assignment[0] + 1) % 3
-    assert cluster_hash(a) != cluster_hash(b)
 
 
 def test_run_experiment_rows(tmp_path):
