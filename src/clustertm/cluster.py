@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus
 from .sgns import EmbeddingMatrix
@@ -33,18 +34,72 @@ class ClusterModel:
         return self.centres.shape[0]
 
 
-def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = None) -> np.ndarray:
-    """Count-weighted mean embedding per document, or L2-normalized TF-IDF without embeddings."""
+def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = None):
+    """Count-weighted mean embedding per document (dense), or L2-normalized TF-IDF without
+    embeddings (CSR with sorted column indices)."""
     x = corpus.doc_term
     if embeddings is not None:
         return (x @ embeddings.vectors) / x.sum(axis=1).A
     df = (x > 0).sum(axis=0).A1
     idf = np.log((1.0 + corpus.n_docs) / (1.0 + df)) + 1.0  # smooth, strictly positive
-    reps = x.multiply(idf).toarray()
-    return reps / np.linalg.norm(reps, axis=1, keepdims=True)
+    reps = x.copy()
+    reps.data *= idf[reps.indices]
+    norms = np.sqrt(reps.multiply(reps).sum(axis=1).A1)
+    reps.data /= np.repeat(norms, np.diff(reps.indptr))
+    return reps
 
 
-def _kmeans_pp_init(points: np.ndarray, sq: np.ndarray, group: np.ndarray, k: int,
+def _checked_points(points):
+    """`points` as a float CSR matrix (duplicates summed, no stored zeros) if sparse, else as
+    a float array; raises ClusterError unless 2-D and finite."""
+    if sp.issparse(points):
+        points = sp.csr_matrix(points, dtype=float, copy=True)
+        points.sum_duplicates()
+        points.eliminate_zeros()  # the CSR sort key reads stored entries as the non-zeros
+        values = points.data
+    else:
+        points = values = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ClusterError(f"points must be a 2-D array, got shape {points.shape}")
+    if not np.isfinite(values).all():
+        raise ClusterError("points contain NaN or infinite values")
+    return points
+
+
+def _csr_sort_key(points: sp.csr_matrix) -> np.ndarray:
+    """Zero-padded rows of (u, v) pairs whose lexicographic order is that of the dense rows.
+
+    A stored entry v at column c becomes u = sign(v) * (V - c), then v; the
+    padding (0, 0) ends a row. At the first pair where two rows differ, either
+    both hold one column (u's sign, then v, orders them as the dense values do),
+    or one row has a non-zero v where the other is still 0 (the pair with the
+    smaller column): u < 0 exactly when v < 0, which is when the dense row is
+    the smaller. Needs sorted indices and no stored zeros.
+    """
+    n, n_cols = points.shape
+    nnz = np.diff(points.indptr)
+    rows = np.repeat(np.arange(n), nnz)
+    pos = np.arange(points.nnz) - points.indptr[rows]
+    key = np.zeros((n, 2 * max(int(nnz.max(initial=0)), 1)))
+    key[rows, 2 * pos] = np.sign(points.data) * (n_cols - points.indices)
+    key[rows, 2 * pos + 1] = points.data
+    return key
+
+
+def _row_order(points):
+    """`np.lexsort` order of the rows, and ids shared by equal rows in that order."""
+    key = _csr_sort_key(points) if sp.issparse(points) else points
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    return order, np.concatenate(([0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))))
+
+
+def _dense(rows):
+    """A block of rows as a dense array: CSR rows are made dense, dense rows pass through."""
+    return rows.toarray() if sp.issparse(rows) else rows
+
+
+def _kmeans_pp_init(points, sq: np.ndarray, group: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007) over lexsorted points.
 
@@ -57,69 +112,107 @@ def _kmeans_pp_init(points: np.ndarray, sq: np.ndarray, group: np.ndarray, k: in
     n = points.shape[0]
     centres = np.empty((k, points.shape[1]))
 
-    def sq_dist(i):
-        d = sq - 2.0 * (points @ points[i])
+    def take(j, i):
+        """Make point i centre j; its squared distance to every point."""
+        centres[j] = _dense(points[[i]])[0]
+        d = sq - 2.0 * (points @ centres[j])
         d += sq[i]
         np.maximum(d, 0.0, out=d)
         d[group == group[i]] = 0.0
         return d
 
-    first = rng.integers(n)
-    centres[0] = points[first]
-    d2 = sq_dist(first)
+    d2 = take(0, rng.integers(n))
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centres[j] = points[rng.integers(n)]
+            centres[j] = _dense(points[[rng.integers(n)]])[0]
             continue
         idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
-        centres[j] = points[idx]
-        d2 = np.minimum(d2, sq_dist(idx))
+        d2 = np.minimum(d2, take(j, idx))
     return centres
 
 
-def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest centre: argmin of |c|^2 - 2 x.c (|x|^2 is common to a row)."""
-    return np.argmin(np.einsum("ij,ij->i", centres, centres) - 2.0 * points @ centres.T, axis=1)
+# |x|^2 - 2 x.c + |c|^2 at or below this share of |x|^2 + |c|^2 is rounding noise: such
+# distances are recomputed from the difference, so a point equal to its centre gives 0
+CANCELLATION = 1e-8
+NEAR_CHUNK = 2**20  # floats of the dense difference rows made at once
 
 
-def _lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
+def _sq_dist(points, sq: np.ndarray, centres: np.ndarray, labels=None):
+    """Labels (the nearest centre, unless given) and each point's squared distance to
+    its labelled centre, from one product `points @ centres.T` and the row norms."""
+    prod = points @ centres.T
+    cc = np.einsum("ij,ij->i", centres, centres)
+    if labels is None:
+        labels = np.argmin(cc - 2.0 * prod, axis=1)
+    cl = cc[labels]
+    d = sq - 2.0 * prod[np.arange(len(labels)), labels] + cl
+    near = np.flatnonzero(d <= CANCELLATION * (sq + cl))
+    step = max(1, NEAR_CHUNK // points.shape[1])
+    for s in range(0, near.size, step):
+        idx = near[s:s + step]
+        d[idx] = np.sum((_dense(points[idx]) - centres[labels[idx]]) ** 2, axis=1)
+    return labels, d
+
+
+def _member_sums(points, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, R) sums of each cluster's rows: one (k, n) indicator product, rows added in order."""
+    n = len(labels)
+    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    return _dense(indicator @ points)
+
+
+def _update_centres(points, sq: np.ndarray, centres: np.ndarray,
+                    labels: np.ndarray) -> np.ndarray:
+    """Member means; an empty cluster is re-seeded to the point farthest from its centre.
+
+    Clusters are taken in order, as one pass over them would: a re-seed measures
+    distances to the centres updated so far, and moves its point (in `labels`)
+    out of its old cluster.
+    """
+    k = centres.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    sums = _member_sums(points, labels, k)
+    centres = centres.copy()
+    for j in range(k):
+        if counts[j]:
+            centres[j] = sums[j] / counts[j]
+            continue
+        far = int(np.argmax(_sq_dist(points, sq, centres, labels)[1]))
+        logger.info("kmeans: re-seeding empty cluster %d to point %d", j, far)
+        centres[j] = _dense(points[[far]])[0]
+        labels[far] = j
+        counts = np.bincount(labels, minlength=k)
+        sums = _member_sums(points, labels, k)
+    return centres
+
+
+def _lloyd(points, sq: np.ndarray, centres: np.ndarray, max_iter: int):
+    """Lloyd passes from `centres` over dense or CSR points with squared row norms `sq`."""
     labels = None
     history = []
     for _ in range(max_iter):
-        new_labels = _nearest(points, centres)
-        history.append(float(np.sum((points - centres[new_labels]) ** 2, axis=1).sum()))
+        new_labels, d2 = _sq_dist(points, sq, centres)
+        history.append(float(d2.sum()))
         # centres unchanged since labelled, or no assignment can beat inertia 0
         if history[-1] == 0.0 or (labels is not None and np.array_equal(new_labels, labels)):
             return centres, new_labels, history[-1], history
         labels = new_labels
-        for j in range(centres.shape[0]):
-            members = points[labels == j]
-            if len(members):
-                centres[j] = members.mean(axis=0)
-            else:
-                # re-seed an empty cluster to the point farthest from its centre
-                far = int(np.argmax(np.sum((points - centres[labels]) ** 2, axis=1)))
-                logger.info("kmeans: re-seeding empty cluster %d to point %d", j, far)
-                centres[j] = points[far]
-                labels[far] = j
-    labels = _nearest(points, centres)  # max_iter reached: label against the last update
-    inertia = float(np.sum((points - centres[labels]) ** 2, axis=1).sum())
-    return centres, labels, inertia, history
+        centres = _update_centres(points, sq, centres, labels)
+    labels, d2 = _sq_dist(points, sq, centres)  # max_iter reached: label against the last update
+    return centres, labels, float(d2.sum()), history
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
+def kmeans(points, k: int, seed: int = 0, n_restarts: int = 10,
            representation: str = "embedding") -> ClusterModel:
     """Best of `n_restarts` k-means++/Lloyd runs; deterministic for a given seed.
 
-    Seeding and iteration run over a lexicographically sorted copy of the
-    points, so the fitted centres are independent of input point order.
+    `points` is a dense (n, R) array or a scipy sparse matrix (used as CSR; the
+    centres are dense). Seeding and iteration run over a lexicographically
+    sorted copy of the points, so the fitted centres are independent of input
+    point order.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ClusterError(f"points must be a 2-D array, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ClusterError("points contain NaN or infinite values")
+    points = _checked_points(points)
     n = points.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
@@ -128,17 +221,18 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
     if n_restarts < 1:
         raise ClusterError(f"n_restarts must be >= 1, got {n_restarts!r}")
 
-    order = np.lexsort(points.T[::-1])
-    sorted_points = points[order]
-    sq = np.einsum("ij,ij->i", sorted_points, sorted_points)
-    new_row = np.any(sorted_points[1:] != sorted_points[:-1], axis=1)
-    group = np.concatenate(([0], np.cumsum(new_row)))  # equal rows share an id
+    order, group = _row_order(points)
+    points = points[order]
+    if sp.issparse(points):
+        sq = points.multiply(points).sum(axis=1).A1
+    else:
+        sq = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(seed)
 
     best = None
     for _ in range(n_restarts):
-        init = _kmeans_pp_init(sorted_points, sq, group, k, rng)
-        centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, MAX_ITER)
+        init = _kmeans_pp_init(points, sq, group, k, rng)
+        centres, sorted_labels, inertia, history = _lloyd(points, sq, init, MAX_ITER)
         if best is None or inertia < best[2]:
             best = (centres, sorted_labels, inertia, history)
 

@@ -114,6 +114,8 @@ def wswf(g0: np.ndarray, top_words: list[list[tuple[int, float]]],
 def evaluate_topics(corpus: Corpus, top_words: list[list[tuple[int, float]]],
                     n_top: int) -> MetricsReport:
     """Full report (TC, WSWF, surface-form top words) for one fitted model."""
+    if not top_words:
+        raise MetricsError("no topics to evaluate")
     ids = [[v for v, _ in pairs] for pairs in top_words]
     per_tc, _ = topic_coherence(corpus, ids, n_top)
     per_wswf, _ = wswf(corpus.g0, top_words, n_top)
@@ -135,15 +137,19 @@ def save_topics(top_words: list[list[tuple[int, float]]], vocab_words: list[str]
 def load_topics(path, word_index: dict[str, int]) -> tuple[list[list[tuple[int, float]]], int]:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
+        topics, n_top = payload["topics"], int(payload["N"])
         tops = []
-        for t, topic in enumerate(payload["topics"]):
+        for t, topic in enumerate(topics):
             words, probs = topic["words"], [float(p) for p in topic["probs"]]
             if len(words) != len(probs) or not all(0.0 <= p <= 1.0 for p in probs):
                 raise MetricsError(f"{path}: topic {t} needs one probability in [0, 1] per word")
+            unknown = [w for w in words if w not in word_index]
+            if unknown:
+                raise MetricsError(f"{path}: word {unknown[0]!r} not in the corpus vocabulary")
             tops.append([(word_index[w], p) for w, p in zip(words, probs)])
-        return tops, int(payload["N"])
+        return tops, n_top
     except KeyError as e:
-        raise MetricsError(f"{path}: word {e} not in the corpus vocabulary") from e
+        raise MetricsError(f"{path}: missing key {e}") from e
     except (json.JSONDecodeError, TypeError, ValueError) as e:
         raise MetricsError(f"{path}: malformed topics file ({e})") from e
 

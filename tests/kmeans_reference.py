@@ -2,15 +2,18 @@
 
 `reference_kmeans_pp_init` is the dense-difference k-means++ seeding that
 `cluster._kmeans_pp_init` replaced, kept unchanged as the oracle for its
-picks. `reference_kmeans` is `cluster.kmeans` with that seeding: same seed,
-same centres, assignment, inertia and history, bit for bit.
+picks. `reference_lloyd` is the dense Lloyd iteration that `cluster._lloyd`
+replaced: per-cluster member means, and the inertia from the differences
+`points - centres[labels]`. `reference_kmeans` runs both over the dense rows,
+so `cluster.kmeans` on dense or CSR points must give the same initial centres
+and labels as it, with centres, inertia and history equal up to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from clustertm.cluster import MAX_ITER, ClusterModel, _lloyd
+from clustertm.cluster import MAX_ITER, ClusterModel
 
 
 def reference_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,6 +32,32 @@ def reference_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generato
     return centres
 
 
+def reference_nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    return np.argmin(np.einsum("ij,ij->i", centres, centres) - 2.0 * points @ centres.T, axis=1)
+
+
+def reference_lloyd(points: np.ndarray, centres: np.ndarray, max_iter: int):
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        new_labels = reference_nearest(points, centres)
+        history.append(float(np.sum((points - centres[new_labels]) ** 2, axis=1).sum()))
+        if history[-1] == 0.0 or (labels is not None and np.array_equal(new_labels, labels)):
+            return centres, new_labels, history[-1], history
+        labels = new_labels
+        for j in range(centres.shape[0]):
+            members = points[labels == j]
+            if len(members):
+                centres[j] = members.mean(axis=0)
+            else:
+                far = int(np.argmax(np.sum((points - centres[labels]) ** 2, axis=1)))
+                centres[j] = points[far]
+                labels[far] = j
+    labels = reference_nearest(points, centres)
+    inertia = float(np.sum((points - centres[labels]) ** 2, axis=1).sum())
+    return centres, labels, inertia, history
+
+
 def reference_kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
                      representation: str = "embedding") -> ClusterModel:
     points = np.asarray(points, dtype=float)
@@ -40,7 +69,7 @@ def reference_kmeans(points: np.ndarray, k: int, seed: int = 0, n_restarts: int 
     best = None
     for _ in range(n_restarts):
         init = reference_kmeans_pp_init(sorted_points, k, rng)
-        centres, sorted_labels, inertia, history = _lloyd(sorted_points, init, MAX_ITER)
+        centres, sorted_labels, inertia, history = reference_lloyd(sorted_points, init, MAX_ITER)
         if best is None or inertia < best[2]:
             best = (centres, sorted_labels, inertia, history)
 

@@ -366,3 +366,16 @@ def test_eval_rejects_topics_with_fewer_than_n_words(texts_dir, tmp_path, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: MetricsError:") and "topic 0" in err[0]
     assert not report.exists()
+
+
+def test_eval_rejects_topics_file_with_no_topics(texts_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    topics = tmp_path / "topics.json"
+    topics.write_text(json.dumps({"topics": [], "N": 3}), "utf-8")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", corpus, topics, report, "--n", 3]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: MetricsError: no topics to evaluate"]
+    assert not report.exists()

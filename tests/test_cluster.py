@@ -1,9 +1,13 @@
 import itertools
 import json
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustertm import cluster
 from clustertm.cluster import (ClusterError, _lloyd, cluster_corpus, kmeans,
@@ -41,7 +45,8 @@ def test_vectorize_mean_embedding():
 def test_vectorize_tfidf_unit_norm():
     corpus = make_corpus([[0], [1, 0]], words=["a", "b"])
     reps = vectorize_documents(corpus)
-    assert np.allclose(np.linalg.norm(reps, axis=1), 1.0)
+    assert sp.isspmatrix_csr(reps) and reps.has_sorted_indices
+    assert np.allclose(np.linalg.norm(reps.toarray(), axis=1), 1.0)
 
 
 def test_kmeans_perfectly_separated():
@@ -91,11 +96,13 @@ def test_kmeans_inertia_monotone_over_iterations():
 
 def test_lloyd_out_of_passes_labels_against_last_update():
     points = np.random.default_rng(7).standard_normal((40, 3))
-    centres, labels, inertia, history = _lloyd(points, points[:4].copy(), max_iter=1)
+    sq = np.einsum("ij,ij->i", points, points)
+    centres, labels, inertia, history = _lloyd(points, sq, points[:4].copy(), max_iter=1)
     assert len(history) == 1
     d2 = ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(labels, d2.argmin(axis=1))
-    assert inertia == np.sum((points - centres[labels]) ** 2, axis=1).sum()
+    assert inertia == pytest.approx(np.sum((points - centres[labels]) ** 2, axis=1).sum(),
+                                    rel=1e-12, abs=0)
     assert inertia < history[0]
 
 
@@ -127,6 +134,17 @@ def test_kmeans_peak_memory_stays_near_input_size():
     finally:
         tracemalloc.stop()
     assert peak < 4 * points.nbytes
+
+
+def test_kmeans_on_csr_points_never_makes_them_dense():
+    points = sp.random(2000, 5000, density=0.005, format="csr", random_state=11)
+    tracemalloc.start()
+    try:
+        kmeans(points, 20, seed=0, n_restarts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 5000 * 8 / 4
 
 
 def test_kmeans_centres_are_member_means():
@@ -163,6 +181,8 @@ def test_kmeans_rejects_non_finite_points():
         points[4, 1] = bad
         with pytest.raises(ClusterError, match="NaN or infinite"):
             kmeans(points, 2)
+        with pytest.raises(ClusterError, match="NaN or infinite"):
+            kmeans(sp.csr_matrix(points), 2)
 
 
 def test_kmeans_rejects_one_dimensional_points():
@@ -197,28 +217,36 @@ def test_load_clusters_rejects_ids_that_are_not_integers(tmp_path, bad):
 
 # ---------------------------------------------------- reference seeding oracle
 
-def seeded_run(fit, module, points, k, seed, n_restarts):
-    """`fit`'s model, plus the initial centres it handed to each Lloyd run."""
+def seeded_run(fit, module, lloyd, points, k, seed, n_restarts):
+    """`fit`'s model, plus the initial centres it handed to each run of `module.<lloyd>`."""
     inits = []
+    run = getattr(module, lloyd)
 
-    def lloyd(points, centres, max_iter):
-        inits.append(centres.copy())
-        return _lloyd(points, centres, max_iter)
+    def spy(*args):
+        inits.append(args[-2].copy())  # (..., centres, max_iter)
+        return run(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "_lloyd", lloyd)
+        mp.setattr(module, lloyd, spy)
         return fit(points, k, seed=seed, n_restarts=n_restarts), inits
 
 
 def assert_matches_reference(points, k, seed, n_restarts):
-    got, got_inits = seeded_run(kmeans, cluster, points, k, seed, n_restarts)
+    """`kmeans` on `points`, and on their dense copy if they are sparse, against the oracle.
+
+    Seeds and labels are exact. The inertia takes the norm form |x|^2 - 2 x.c + |c|^2
+    (the oracle sums the differences), so it and its history agree to a relative 1e-12.
+    """
+    dense = points.toarray() if sp.issparse(points) else points
     want, want_inits = seeded_run(kmeans_reference.reference_kmeans, kmeans_reference,
-                                  points, k, seed, n_restarts)
-    assert [c.tobytes() for c in got_inits] == [c.tobytes() for c in want_inits]
-    assert got.centres.tobytes() == want.centres.tobytes()
-    assert np.array_equal(got.assignment, want.assignment)
-    assert got.inertia == want.inertia
-    assert got.inertia_history == want.inertia_history
+                                  "reference_lloyd", dense, k, seed, n_restarts)
+    for fitted in ([points, dense] if sp.issparse(points) else [points]):
+        got, got_inits = seeded_run(kmeans, cluster, "_lloyd", fitted, k, seed, n_restarts)
+        assert [c.tobytes() for c in got_inits] == [c.tobytes() for c in want_inits]
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.abs(got.centres - want.centres).max() <= 1e-15
+        assert got.inertia == pytest.approx(want.inertia, rel=1e-12, abs=0)
+        assert got.inertia_history == pytest.approx(want.inertia_history, rel=1e-12, abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +270,7 @@ def test_kmeans_matches_reference_on_wide_sparse_tfidf():
     corpus = make_planted(7, n_docs=300, n_vocab=2400, n_topics=20, n_common=20,
                           len_lo=10, len_hi=30)[0]
     points = vectorize_documents(corpus)
-    assert points.shape[1] >= 2000 and np.mean(points > 0) < 0.02
+    assert points.shape[1] >= 2000 and points.nnz / np.prod(points.shape) < 0.02
     for seed in (0, 1):
         assert_matches_reference(points, 20, seed, n_restarts=2)
 
@@ -263,3 +291,53 @@ def test_kmeans_matches_reference_on_duplicate_heavy_points():
         points = rows[rng.integers(distinct, size=n)]
         k = int(rng.integers(len(np.unique(points, axis=0)) + 1, n + 1))
         assert_matches_reference(points, k, trial, n_restarts=2)
+
+
+@pytest.mark.parametrize("init_rows", [[0, 0, 1], [2, 5, 5, 5]])
+def test_lloyd_reseeds_empty_clusters_on_csr_points_as_reference(caplog, init_rows):
+    # a repeated initial centre owns no points after the first labelling
+    dense = sp.random(30, 8, density=0.4, random_state=4).toarray()
+    points = sp.csr_matrix(dense)
+    sq = points.multiply(points).sum(axis=1).A1
+    with caplog.at_level(logging.INFO, logger="clustertm.cluster"):
+        centres, labels, inertia, history = _lloyd(points, sq, dense[init_rows], cluster.MAX_ITER)
+    assert "re-seeding empty cluster" in caplog.text
+    want = kmeans_reference.reference_lloyd(dense, dense[init_rows], cluster.MAX_ITER)
+    assert np.array_equal(labels, want[1])
+    assert np.abs(centres - want[0]).max() <= 1e-15
+    assert inertia == pytest.approx(want[2], rel=1e-12, abs=0)
+    assert history == pytest.approx(want[3], rel=1e-12, abs=0)
+
+
+# ------------------------------------------------------------- CSR sort key
+
+SORT_VALUES = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def csr_with_dense_copy(draw):
+    """Rows drawn from a few base rows (duplicates), each cut after a column (so one
+    row's non-zeros can be a prefix of another's, or none), with stored zeros."""
+    n_cols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(SORT_VALUES, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row, cut = draw(st.sampled_from(base)), draw(st.integers(0, n_cols))
+        rows.append(row[:cut] + [0.0] * (n_cols - cut))
+    dense = np.array(rows)
+    stored = draw(st.lists(st.booleans(), min_size=dense.size, max_size=dense.size))
+    r, c = np.nonzero((dense != 0) | np.reshape(stored, dense.shape))
+    return dense, sp.csr_matrix((dense[r, c], (r, c)), shape=dense.shape)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csr_with_dense_copy())
+def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case):
+    dense, points = case
+    order, group = cluster._row_order(cluster._checked_points(points))
+    want = np.lexsort(dense.T[::-1])
+    assert np.array_equal(order, want)
+    sorted_rows = dense[want]
+    new_row = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))

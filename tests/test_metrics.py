@@ -277,6 +277,23 @@ def test_load_topics_rejects_mismatched_or_invalid_probabilities(tmp_path, topic
         metrics.load_topics(path, corpus.vocabulary.index)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"N": 2}, "missing key 'topics'"),
+    ({"topics": []}, "missing key 'N'"),
+    ({"topics": [{"probs": [0.5, 0.5]}], "N": 2}, "missing key 'words'"),
+    ({"topics": [{"words": ["a", "b"]}], "N": 2}, "missing key 'probs'"),
+    ({"topics": [{"words": ["a", "zz"], "probs": [0.5, 0.5]}], "N": 2},
+     "word 'zz' not in the corpus vocabulary"),
+], ids=["topics", "N", "words", "probs", "unknown-word"])
+def test_load_topics_names_a_missing_key_apart_from_an_unknown_word(tmp_path, payload, message):
+    corpus, _ = make_report()
+    path = tmp_path / "topics.json"
+    path.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(metrics.MetricsError) as err:
+        metrics.load_topics(path, corpus.vocabulary.index)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_report_json_roundtrip():
     _, report = make_report()
     back = metrics.MetricsReport.from_json(report.to_json())
