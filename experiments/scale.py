@@ -5,8 +5,11 @@ Generates corpora of the benchmark's `wide-vocab` shape (20 planted topics of
 `bench/corpus_gen.generate`, and at each size times `preprocess`,
 `vectorize_documents` (TF-IDF), `kmeans` (k=20, 2 restarts) and one ETM epoch.
 `kmeans` runs twice: once timed, once under tracemalloc for its peak traced
-memory. Prints one JSON object. `peak_rss_mb` is the process peak so far, so
-with ascending sizes it is the peak up to and including that size.
+memory. It runs twice more on the TF-IDF rows plus one unit-norm row that
+holds every vocabulary word, the longest a document can be, so the cost of
+sorting rows with many non-zeros shows (`long_doc_*`). Prints one JSON
+object. `peak_rss_mb` is the process peak so far, so with ascending sizes it
+is the peak up to and including that size.
 
     OPENBLAS_NUM_THREADS=1 python3 experiments/scale.py --sizes 400,1600,6400
 """
@@ -24,11 +27,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
 import corpus_gen  # noqa: E402
 from clustertm import cluster, corpus, training  # noqa: E402
 
 SHAPE = dict(n_topics=20, block=250, len_lo=10, len_hi=30, zipf_exp=0.0)
-K, RESTARTS = 20, 2
+K, RESTARTS, SEED = 20, 2, 1
 
 
 def timed(fn, *args, **kwargs):
@@ -37,20 +43,27 @@ def timed(fn, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
-def measure(n_docs: int, seed: int) -> dict:
-    stop = corpus.default_stopwords()
-    planted = corpus_gen.generate(seed, n_docs=n_docs, exclude=stop, **SHAPE)
-    texts = [" ".join(planted.words[v] for v in doc) + "." for doc in planted.docs]
-    docs, prep_s = timed(corpus.preprocess, texts, corpus.PreprocessOptions(min_freq=1))
-    points, vec_s = timed(cluster.vectorize_documents, docs)
+def kmeans_run(points):
+    """The k-means model, its time, and its peak traced memory from a second run."""
     km, km_s = timed(cluster.kmeans, points, K, seed=0, n_restarts=RESTARTS,
                      representation="tfidf")
     tracemalloc.start()
     try:
         cluster.kmeans(points, K, seed=0, n_restarts=RESTARTS, representation="tfidf")
-        km_peak = tracemalloc.get_traced_memory()[1]
+        return km, km_s, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def measure(n_docs: int) -> dict:
+    stop = corpus.default_stopwords()
+    planted = corpus_gen.generate(SEED, n_docs=n_docs, exclude=stop, **SHAPE)
+    texts = [" ".join(planted.words[v] for v in doc) + "." for doc in planted.docs]
+    docs, prep_s = timed(corpus.preprocess, texts, corpus.PreprocessOptions(min_freq=1))
+    points, vec_s = timed(cluster.vectorize_documents, docs)
+    km, km_s, km_peak = kmeans_run(points)
+    every_word = np.full((1, docs.vocab_size), docs.vocab_size ** -0.5)
+    _, long_s, long_peak = kmeans_run(sp.vstack([points, sp.csr_matrix(every_word)], "csr"))
     config = training.TrainConfig(model_kind="etm", n_topics=SHAPE["n_topics"], emb_dim=50,
                                   epochs=1, seed=0)
     _, epoch_s = timed(training.fit, docs, None, config)
@@ -62,6 +75,7 @@ def measure(n_docs: int, seed: int) -> dict:
         "preprocess_s": prep_s, "vectorize_s": vec_s,
         "kmeans_s": km_s, "kmeans_peak_mb": km_peak / 2**20,
         "kmeans_inertia": km.inertia, "lloyd_passes": len(km.inertia_history),
+        "long_doc_kmeans_s": long_s, "long_doc_kmeans_peak_mb": long_peak / 2**20,
         "etm_epoch_s": epoch_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -71,11 +85,10 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="400,1600,6400",
                     help="comma-separated document counts, measured in this order")
-    ap.add_argument("--seed", type=int, default=1, help="corpus seed")
     args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
-    print(json.dumps({"seed": args.seed, "k": K, "restarts": RESTARTS,
-                      "sizes": [measure(n, args.seed) for n in sizes]}, indent=1))
+    print(json.dumps({"seed": SEED, "k": K, "restarts": RESTARTS,
+                      "sizes": [measure(n) for n in sizes]}, indent=1))
 
 
 if __name__ == "__main__":

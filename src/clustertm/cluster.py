@@ -44,54 +44,93 @@ def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = Non
     idf = np.log((1.0 + corpus.n_docs) / (1.0 + df)) + 1.0  # smooth, strictly positive
     reps = x.copy()
     reps.data *= idf[reps.indices]
-    norms = np.sqrt(reps.multiply(reps).sum(axis=1).A1)
-    reps.data /= np.repeat(norms, np.diff(reps.indptr))
+    reps.data /= np.repeat(np.sqrt(_csr_sq_norms(reps)), np.diff(reps.indptr))
     return reps
+
+
+def _csr_sq_norms(x: sp.csr_matrix) -> np.ndarray:
+    """Squared L2 norm of each row."""
+    return x.multiply(x).sum(axis=1).A1
 
 
 def _checked_points(points):
     """`points` as a float CSR matrix (duplicates summed, no stored zeros) if sparse, else as
-    a float array; raises ClusterError unless 2-D and finite."""
+    a float array, and its squared row norms; raises ClusterError unless 2-D, with at
+    least one column, and finite."""
     if sp.issparse(points):
         points = sp.csr_matrix(points, dtype=float, copy=True)
         points.sum_duplicates()
         points.eliminate_zeros()  # the CSR sort key reads stored entries as the non-zeros
-        values = points.data
+        values, sq = points.data, _csr_sq_norms(points)
     else:
-        points = values = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ClusterError(f"points must be a 2-D array, got shape {points.shape}")
+        # C order: each row's norm is summed as it would be on the sorted copy
+        points = values = np.asarray(points, dtype=float, order="C")
+        if points.ndim != 2:
+            raise ClusterError(f"points must be a 2-D array, got shape {points.shape}")
+        sq = np.einsum("ij,ij->i", points, points)
+    if points.shape[1] == 0:
+        raise ClusterError("points have no columns")
     if not np.isfinite(values).all():
         raise ClusterError("points contain NaN or infinite values")
-    return points
+    return points, sq
 
 
-def _csr_sort_key(points: sp.csr_matrix) -> np.ndarray:
-    """Zero-padded rows of (u, v) pairs whose lexicographic order is that of the dense rows.
+KEY_CHUNK = 2**19  # floats of the row sort key made at once
 
-    A stored entry v at column c becomes u = sign(v) * (V - c), then v; the
-    padding (0, 0) ends a row. At the first pair where two rows differ, either
+
+def _sort_key(points):
+    """(width, columns) of a key whose lexicographic row order and equal rows are those
+    of the dense rows: `columns(order, lo, hi)` is its columns lo:hi of rows `order`
+    (lo even, so that a block never splits a pair).
+
+    Dense rows are their own key. A CSR row's key is its stored entries as (u, v)
+    pairs, zero-padded to twice the most entries in a row: v at column c becomes
+    u = sign(v) * (V - c), then v. At the first pair where two rows differ, either
     both hold one column (u's sign, then v, orders them as the dense values do),
     or one row has a non-zero v where the other is still 0 (the pair with the
     smaller column): u < 0 exactly when v < 0, which is when the dense row is
     the smaller. Needs sorted indices and no stored zeros.
     """
+    if not sp.issparse(points):
+        return points.shape[1], lambda order, lo, hi: points[order, lo:hi]
     n, n_cols = points.shape
-    nnz = np.diff(points.indptr)
-    rows = np.repeat(np.arange(n), nnz)
-    pos = np.arange(points.nnz) - points.indptr[rows]
-    key = np.zeros((n, 2 * max(int(nnz.max(initial=0)), 1)))
-    key[rows, 2 * pos] = np.sign(points.data) * (n_cols - points.indices)
-    key[rows, 2 * pos + 1] = points.data
-    return key
+    rows = np.repeat(np.arange(n), np.diff(points.indptr))
+    slot = 2 * (np.arange(points.nnz) - points.indptr[rows])  # u's key column
+    u = np.sign(points.data) * (n_cols - points.indices)
+
+    def columns(order, lo, hi):
+        where = np.empty(n, dtype=np.int64)
+        where[order] = np.arange(n)
+        cols = np.zeros((n, hi - lo))
+        sel = np.flatnonzero((slot >= lo) & (slot < hi))
+        flat = where[rows[sel]] * (hi - lo) + (slot[sel] - lo)  # u's place in `cols`
+        cols.ravel()[flat] = u[sel]
+        cols.ravel()[flat + 1] = points.data[sel]
+        return cols
+
+    return int(slot.max(initial=-2)) + 2, columns
 
 
 def _row_order(points):
-    """`np.lexsort` order of the rows, and ids shared by equal rows in that order."""
-    key = _csr_sort_key(points) if sp.issparse(points) else points
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    return order, np.concatenate(([0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))))
+    """`np.lexsort` order of the rows, and ids shared by equal rows in that order.
+
+    The sort key is made in blocks of columns of about KEY_CHUNK floats, so its
+    memory does not follow the longest row: the blocks are sorted last first,
+    each by a stable sort of the order so far, and then compared between
+    neighbours in the final order.
+    """
+    n = points.shape[0]
+    width, columns = _sort_key(points)
+    step = 2 * max(1, KEY_CHUNK // (2 * n))
+    blocks = [(lo, min(lo + step, width)) for lo in range(0, width, step)]
+    order = np.arange(n)
+    for lo, hi in reversed(blocks):
+        order = order[np.lexsort(columns(order, lo, hi).T[::-1])]
+    new_row = np.zeros(n - 1, dtype=bool)
+    for lo, hi in blocks:
+        key = columns(order, lo, hi)
+        new_row |= np.any(key[1:] != key[:-1], axis=1)
+    return order, np.concatenate(([0], np.cumsum(new_row)))
 
 
 def _dense(rows):
@@ -212,7 +251,7 @@ def kmeans(points, k: int, seed: int = 0, n_restarts: int = 10,
     sorted copy of the points, so the fitted centres are independent of input
     point order.
     """
-    points = _checked_points(points)
+    points, sq = _checked_points(points)
     n = points.shape[0]
     if k < 1:
         raise ClusterError("k must be >= 1")
@@ -222,11 +261,7 @@ def kmeans(points, k: int, seed: int = 0, n_restarts: int = 10,
         raise ClusterError(f"n_restarts must be >= 1, got {n_restarts!r}")
 
     order, group = _row_order(points)
-    points = points[order]
-    if sp.issparse(points):
-        sq = points.multiply(points).sum(axis=1).A1
-    else:
-        sq = np.einsum("ij,ij->i", points, points)
+    points, sq = points[order], sq[order]
     rng = np.random.default_rng(seed)
 
     best = None

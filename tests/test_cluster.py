@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_kmeans_invariant_to_point_order():
     assert np.array_equal(model_a.assignment[perm], model_b.assignment)
 
 
+def test_kmeans_same_on_fortran_ordered_points():
+    points = np.random.default_rng(5).normal(size=(120, 33))
+    a = kmeans(points, 4, seed=1, n_restarts=2)
+    b = kmeans(np.asfortranarray(points), 4, seed=1, n_restarts=2)
+    assert a.centres.tobytes() == b.centres.tobytes()
+    assert np.array_equal(a.assignment, b.assignment)
+    assert a.inertia_history == b.inertia_history
+
+
 def test_kmeans_peak_memory_stays_near_input_size():
     # the nearest-centre search must not build an (n, k, R) difference tensor
     points = np.random.default_rng(11).random((400, 4000))
@@ -141,6 +151,19 @@ def test_kmeans_on_csr_points_never_makes_them_dense():
     tracemalloc.start()
     try:
         kmeans(points, 20, seed=0, n_restarts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 5000 * 8 / 4
+
+
+def test_kmeans_sort_key_memory_does_not_follow_the_longest_row():
+    # one document holding half the vocabulary must not pad every row's sort key to its length
+    points = sp.random(2000, 5000, density=0.005, format="lil", random_state=11)
+    points[7, ::2] = 1.0
+    tracemalloc.start()
+    try:
+        kmeans(points.tocsr(), 20, seed=0, n_restarts=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,6 +211,12 @@ def test_kmeans_rejects_non_finite_points():
 def test_kmeans_rejects_one_dimensional_points():
     with pytest.raises(ClusterError, match="2-D"):
         kmeans(np.arange(6.0), 2)
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 0)), sp.csr_matrix((3, 0))])
+def test_kmeans_rejects_points_without_columns(points):
+    with pytest.raises(ClusterError, match="no columns"):
+        kmeans(points, 2)
 
 
 def test_load_clusters_rejects_non_finite_values(tmp_path):
@@ -332,12 +361,15 @@ def csr_with_dense_copy(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(csr_with_dense_copy())
-def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case):
+@given(csr_with_dense_copy(), st.sampled_from([cluster.KEY_CHUNK, 1]))
+def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case, key_chunk):
+    # key_chunk=1 sorts the key one (u, v) pair (or dense column pair) at a time
     dense, points = case
-    order, group = cluster._row_order(cluster._checked_points(points))
     want = np.lexsort(dense.T[::-1])
-    assert np.array_equal(order, want)
     sorted_rows = dense[want]
     new_row = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-    assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
+    with mock.patch.object(cluster, "KEY_CHUNK", key_chunk):
+        for rows in (points, dense):
+            order, group = cluster._row_order(cluster._checked_points(rows)[0])
+            assert np.array_equal(order, want)
+            assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
