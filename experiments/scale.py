@@ -4,8 +4,8 @@ Generates corpora of the benchmark's `wide-vocab` shape (20 planted topics of
 250 words each, flat Zipf, 10-30 tokens per document) with
 `bench/corpus_gen.generate`, and at each size times `preprocess`,
 `vectorize_documents` (TF-IDF), `kmeans` (k=20, 2 restarts) and one ETM epoch.
-`kmeans` runs twice: once timed, once under tracemalloc for its peak traced
-memory. It runs twice more on the TF-IDF rows plus one unit-norm row that
+`kmeans` and the ETM epoch each run twice: once timed, once under tracemalloc
+for the peak traced memory. `kmeans` runs twice more on the TF-IDF rows plus one unit-norm row that
 holds every vocabulary word, the longest a document can be, so the cost of
 sorting rows with many non-zeros shows (`long_doc_*`). Prints one JSON
 object. `peak_rss_mb` is the process peak so far, so with ascending sizes it
@@ -43,16 +43,20 @@ def timed(fn, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
-def kmeans_run(points):
-    """The k-means model, its time, and its peak traced memory from a second run."""
-    km, km_s = timed(cluster.kmeans, points, K, seed=0, n_restarts=RESTARTS,
-                     representation="tfidf")
+def timed_and_traced(fn, *args, **kwargs):
+    """The result of `fn`, its time, and its peak traced memory from a second run."""
+    out, seconds = timed(fn, *args, **kwargs)
     tracemalloc.start()
     try:
-        cluster.kmeans(points, K, seed=0, n_restarts=RESTARTS, representation="tfidf")
-        return km, km_s, tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return out, seconds, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def kmeans_run(points):
+    return timed_and_traced(cluster.kmeans, points, K, seed=0, n_restarts=RESTARTS,
+                            representation="tfidf")
 
 
 def measure(n_docs: int) -> dict:
@@ -66,7 +70,7 @@ def measure(n_docs: int) -> dict:
     _, long_s, long_peak = kmeans_run(sp.vstack([points, sp.csr_matrix(every_word)], "csr"))
     config = training.TrainConfig(model_kind="etm", n_topics=SHAPE["n_topics"], emb_dim=50,
                                   epochs=1, seed=0)
-    _, epoch_s = timed(training.fit, docs, None, config)
+    _, epoch_s, epoch_peak = timed_and_traced(training.fit, docs, None, config)
     nnz = docs.doc_term.nnz
     return {
         "docs": docs.n_docs, "vocab": docs.vocab_size,
@@ -76,7 +80,7 @@ def measure(n_docs: int) -> dict:
         "kmeans_s": km_s, "kmeans_peak_mb": km_peak / 2**20,
         "kmeans_inertia": km.inertia, "lloyd_passes": len(km.inertia_history),
         "long_doc_kmeans_s": long_s, "long_doc_kmeans_peak_mb": long_peak / 2**20,
-        "etm_epoch_s": epoch_s,
+        "etm_epoch_s": epoch_s, "etm_epoch_peak_mb": epoch_peak / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

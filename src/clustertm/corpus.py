@@ -139,15 +139,15 @@ class Corpus:
         )
 
 
+def _clean(raw: str) -> str:
+    """`raw` (lowercase, no whitespace) with edge punctuation stripped; "" if it holds a digit."""
+    tok = _EDGE_PUNCT.sub("", raw)
+    return "" if _HAS_DIGIT.search(tok) else tok
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop tokens with digits."""
-    out = []
-    for raw in text.lower().split():
-        tok = _EDGE_PUNCT.sub("", raw)
-        if not tok or _HAS_DIGIT.search(tok):
-            continue
-        out.append(tok)
-    return out
+    return [tok for tok in map(_clean, text.lower().split()) if tok]
 
 
 def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) -> Corpus:
@@ -163,10 +163,15 @@ def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) ->
     stop = options.stopwords if options.stopwords is not None else default_stopwords()
     lemma = options.lemma or {}
 
+    kept_as: dict[str, str | None] = {}  # raw token -> token after lemma and stopwords, or None
     token_docs = []
     for text in raw_docs:
-        toks = [lemma.get(t, t) for t in tokenize(text)]
-        token_docs.append([t for t in toks if t not in stop])
+        raws = text.lower().split()
+        for raw in set(raws).difference(kept_as):
+            tok = _clean(raw)
+            tok = lemma.get(tok, tok) if tok else None
+            kept_as[raw] = None if tok in stop else tok
+        token_docs.append([kept_as[raw] for raw in raws if kept_as[raw] is not None])
 
     freq = Counter(t for toks in token_docs for t in toks)
     kept = {w for w, c in freq.items() if c >= options.min_freq}

@@ -37,7 +37,7 @@ class VariationalStats:
 class ModelParams:
     kind: str  # "etm" | "modified"
     word_emb: np.ndarray  # (#V, H)
-    enc: dict  # W1,b1,W2,b2,Wm,bm,Ws,bs
+    enc: dict  # W1 (#V, hidden), word-major; b1,W2,b2,Wm,bm,Ws,bs
     topic_emb: np.ndarray | None = None  # (#T, H), baseline only
     xi: dict | None = None  # W1,b1,W2,b2 of the centre->embedding network
     log_lambda: np.ndarray | None = None  # (#D,), modified only
@@ -67,7 +67,8 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
     """Network weights start at N(0, 0.02^2); embedding tables at N(0, 0.3^2).
 
     The larger embedding scale breaks the symmetry between topics, which
-    otherwise all converge to the corpus unigram distribution.
+    otherwise all converge to the corpus unigram distribution. The encoder's W1 is
+    drawn as (hidden, #V) and held as its C-ordered transpose, so no step copies it.
     """
     if kind not in ("etm", "modified"):
         raise ModelError(f"unknown model kind {kind!r}")
@@ -81,7 +82,7 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
         return rng.normal(0.0, 0.3, size=shape)
 
     enc = {
-        "W1": w(hidden, n_vocab), "b1": np.zeros(hidden),
+        "W1": np.ascontiguousarray(w(hidden, n_vocab).T), "b1": np.zeros(hidden),
         "W2": w(hidden, hidden), "b2": np.zeros(hidden),
         "Wm": w(n_topics, hidden), "bm": np.zeros(n_topics),
         "Ws": w(n_topics, hidden), "bs": np.zeros(n_topics),
@@ -152,7 +153,7 @@ def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
 def _encoder(params: ModelParams, hist: sp.csr_matrix):
     """(a1, z1, a2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts."""
     enc = params.enc
-    a1 = hist @ enc["W1"].T + enc["b1"]
+    a1 = hist @ enc["W1"] + enc["b1"]
     z1 = _softplus(a1)
     a2 = z1 @ enc["W2"].T + enc["b2"]
     z2 = _softplus(a2)
@@ -246,7 +247,7 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
         grads["enc.W2"] = d_a2.T @ z1
         grads["enc.b2"] = d_a2.sum(axis=0)
         d_a1 = (d_a2 @ enc["W2"]) * expit(a1)
-        grads["enc.W1"] = d_a1.T @ hist
+        grads["enc.W1"] = hist.T @ d_a1
         grads["enc.b1"] = d_a1.sum(axis=0)
 
         d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
@@ -287,8 +288,8 @@ def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: length-prefixed JSON header + raw float64/int64 buffers,
-# byte-deterministic for identical parameters
+# checkpoints: length-prefixed JSON header + raw float64/int64 buffers in C order,
+# byte-deterministic for identical parameters; the encoder's W1 is stored as (hidden, #V)
 
 _CONST_ARRAYS = ("centres", "log_g0", "assignment")
 
@@ -296,6 +297,7 @@ _CONST_ARRAYS = ("centres", "log_g0", "assignment")
 def _all_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     arrays = {"word_emb": params.word_emb}
     arrays.update({f"enc.{k}": v for k, v in params.enc.items()})
+    arrays["enc.W1"] = params.enc["W1"].T
     if params.topic_emb is not None:
         arrays["topic_emb"] = params.topic_emb
     if params.xi is not None:
@@ -326,7 +328,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
         for v in arrays.values():
-            f.write(np.ascontiguousarray(v).tobytes())
+            f.write(v.tobytes(order="C"))
     tmp.replace(path)  # write-then-rename: no partial checkpoints
 
 
@@ -342,7 +344,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         for spec in meta["arrays"]:
             shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
             count = int(np.prod(shape))
-            arrays[spec["name"]] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+            arr = np.frombuffer(data, dtype, count, offset).reshape(shape)
+            arrays[spec["name"]] = arr.T.copy() if spec["name"] == "enc.W1" else arr.copy()
             offset += count * dtype.itemsize
         enc = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("enc.")}
         xi = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("xi.")} or None

@@ -88,9 +88,9 @@ class Adam:
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps).
 
         `block`, `m` and `v` must be C-contiguous: their flat views are written. A
-        gradient in another layout (the encoder's W1 gradient is Fortran-ordered) is
-        copied into the block's layout first. It is converted here, not where it is
-        computed, because `_clip_global_norm` sums it in memory order.
+        gradient in another layout is copied into the block's layout first. It is
+        converted here, not where it is computed, because `_clip_global_norm` sums
+        it in memory order. The model's gradients are all C-ordered, so none is copied.
         """
         if not all(a.flags.c_contiguous for a in (block, m, v)):
             raise TrainingError("Adam updates C-contiguous blocks and moments in place")
@@ -129,6 +129,26 @@ def _clip_global_norm(grads: dict[str, np.ndarray], limit: float) -> bool:
             g *= scale
         return True
     return False
+
+
+def _step(params: model.ModelParams, opt: Adam, docs, ids, seed: int, kl_weight: float,
+          epoch: int) -> tuple[float, bool]:
+    """One Adam step on a batch: its ELBO and whether the gradient was clipped. The
+    gradients are freed on return, before the next batch's backward pass."""
+    value, grads = model.elbo_and_grad(params, docs, ids, seed, kl_weight=kl_weight)
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite ELBO at epoch {epoch}")
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
+    for g in grads.values():
+        g /= len(docs)
+    clipped = _clip_global_norm(grads, GRAD_CLIP)
+    blocks = model.trainable_blocks(params)
+    opt.step(blocks, grads)
+    for name in _DECAYED:
+        blocks[name] *= 1.0 - WEIGHT_DECAY
+    return value, clipped
 
 
 def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
@@ -174,19 +194,8 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
             kl_w = 1.0
             if config.kl_anneal_epochs:
                 kl_w = min(1.0, (epoch + 1) / config.kl_anneal_epochs)
-            value, grads = model.elbo_and_grad(params, docs, ids, step_seed, kl_weight=kl_w)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite ELBO at epoch {epoch}")
-            for name, g in grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
-            for g in grads.values():
-                g /= len(docs)
-            clipped += _clip_global_norm(grads, GRAD_CLIP)
-            blocks = model.trainable_blocks(params)
-            opt.step(blocks, grads)
-            for name in _DECAYED:
-                blocks[name] *= 1.0 - WEIGHT_DECAY
+            value, was_clipped = _step(params, opt, docs, ids, step_seed, kl_w, epoch)
+            clipped += was_clipped
             epoch_elbo += value
         report.epoch_elbo.append(epoch_elbo / corpus.n_docs)
         if clipped:

@@ -373,3 +373,27 @@ def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case, key_chunk):
             order, group = cluster._row_order(cluster._checked_points(rows)[0])
             assert np.array_equal(order, want)
             assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
+
+
+@pytest.mark.parametrize("key_chunk", [cluster.KEY_CHUNK, 16])
+def test_csr_sort_key_long_rows_over_many_short_negative_rows(key_chunk):
+    # Past the short rows, only the long ones have key entries; at key_chunk=16 they
+    # run through many blocks, around which the short rows keep their places.
+    rng = np.random.default_rng(12)
+    dense = np.zeros((60, 40))
+    for row in dense[:56]:
+        cols = rng.choice(40, size=rng.integers(1, 4), replace=False)
+        row[cols] = rng.choice([-1.0, -0.5, 0.5, 1.0], size=cols.size)
+    dense[56] = rng.choice([-1.0, 1.0], size=40)
+    dense[57:59] = dense[56]
+    dense[58, -1] *= -1  # differs from the other two long rows in the last block only
+    dense[59, :3] = dense[0, :3]  # starts as a short row does
+    dense[59, 3:] = -1.0
+    dense = dense[rng.permutation(60)]
+    want = np.lexsort(dense.T[::-1])
+    sorted_rows = dense[want]
+    new_row = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    with mock.patch.object(cluster, "KEY_CHUNK", key_chunk):
+        order, group = cluster._row_order(cluster._checked_points(sp.csr_matrix(dense))[0])
+    assert np.array_equal(order, want)
+    assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))

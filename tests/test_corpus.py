@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustertm.corpus import (Corpus, CorpusError, Document, PreprocessOptions,
                               Vocabulary, doc_term_matrix, load_corpus,
@@ -23,6 +26,36 @@ def test_preprocess_stopwords_and_counts():
     assert corpus.vocabulary.words == ["cat"]
     assert corpus.n_docs == 1
     assert corpus.documents[0].tokens == [0, 0]
+
+
+RAW_TOKENS = st.sampled_from(["Cat,", "cat", "CAT!", "(cat)", "r2d2", "66", "--", "...",
+                               "Über", "über.", "naïve", "ΣΊΣΥΦΟΣ", "日本語", "'quoted'",
+                               "e.g.", "_x_", "dog", "Dogs", "the", "a"])
+TEXTS = st.lists(st.lists(RAW_TOKENS | st.text(max_size=6), max_size=12).map(" ".join)
+                 | st.text(max_size=30), min_size=1, max_size=6)
+
+
+def token_by_token(texts, stop, lemma, min_freq):
+    """Word lists that `preprocess` keeps, from `tokenize` called on each text."""
+    docs = [[t for t in (lemma.get(t, t) for t in tokenize(text)) if t not in stop]
+            for text in texts]
+    freq = Counter(t for doc in docs for t in doc)
+    return [d for d in ([t for t in doc if freq[t] >= min_freq] for doc in docs) if d]
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, st.sampled_from([set(), {"the", "a", "dog"}]),
+       st.sampled_from([{}, {"dogs": "dog", "cat": "feline", "über": ""}]), st.integers(1, 2))
+def test_preprocess_matches_token_by_token_tokenize(texts, stop, lemma, min_freq):
+    want = token_by_token(texts, stop, lemma, min_freq)
+    options = PreprocessOptions(min_freq=min_freq, stopwords=stop, lemma=lemma)
+    if not want:
+        with pytest.raises(CorpusError):
+            preprocess(texts, options)
+        return
+    corpus = preprocess(texts, options)
+    assert corpus.vocabulary.words == sorted({t for doc in want for t in doc})
+    assert [[corpus.vocabulary.words[i] for i in d.tokens] for d in corpus.documents] == want
 
 
 def test_preprocess_single_token_corpus():

@@ -130,6 +130,14 @@ def zero_encoder(p):
     return p
 
 
+def test_encoder_first_layer_is_word_major_transpose_of_its_draw():
+    p = etm_params(n_vocab=20, hidden=5, seed=3)
+    w1 = p.enc["W1"]
+    assert w1.shape == (20, 5) and w1.flags.c_contiguous
+    # the first draw of the seeded stream, in the (hidden, #V) layout of the checkpoint
+    assert np.array_equal(w1, np.random.default_rng(3).normal(0.0, 0.02, (5, 20)).T)
+
+
 def test_encode_zero_network():
     p = zero_encoder(etm_params())
     stats = model.encode(p, Document(tokens=[1, 2, 3]))
@@ -403,6 +411,37 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
         assert back.kind == p.kind
         for name, arr in model.trainable_blocks(p).items():
             assert np.array_equal(model.trainable_blocks(back)[name], arr)
+        model.save_checkpoint(back, b)
+        assert b.read_bytes() == a.read_bytes()
+
+
+def _hand_built_checkpoint(p):
+    """Checkpoint bytes of ETM parameters, written without `save_checkpoint`: every
+    array C-ordered after the header, with the encoder's W1 as (hidden, #V)."""
+    arrays = {"word_emb": p.word_emb, **{f"enc.{k}": v for k, v in p.enc.items()},
+              "topic_emb": p.topic_emb}
+    arrays["enc.W1"] = np.ascontiguousarray(p.enc["W1"].T)
+    header = json.dumps({
+        "format": "clustertm-ckpt-v1", "kind": "etm", "n_topics": p.n_topics,
+        "emb_dim": p.emb_dim, "freeze_word_emb": False,
+        "arrays": [{"name": k, "shape": list(v.shape), "dtype": "float64"}
+                   for k, v in arrays.items()]}, sort_keys=True).encode("utf-8")
+    return struct.pack("<Q", len(header)) + header + b"".join(v.tobytes() for v in arrays.values())
+
+
+def test_checkpoint_stores_encoder_first_layer_as_hidden_by_vocab(tmp_path):
+    p = etm_params(n_vocab=20, hidden=5, seed=24)
+    path = tmp_path / "hand.ckpt"
+    path.write_bytes(_hand_built_checkpoint(p))
+    back, meta = model.load_checkpoint(path)
+    assert {"name": "enc.W1", "shape": [5, 20], "dtype": "float64"} in meta["arrays"]
+    assert back.enc["W1"].flags.c_contiguous
+    assert np.array_equal(back.enc["W1"], p.enc["W1"])
+    doc = Document(tokens=[0, 4, 4, 19])
+    assert np.array_equal(model.encode(back, doc).mean, model.encode(p, doc).mean)
+    saved = tmp_path / "saved.ckpt"
+    model.save_checkpoint(back, saved)
+    assert saved.read_bytes() == path.read_bytes()
 
 
 def _damaged_checkpoints(path):

@@ -191,6 +191,24 @@ def test_adam_step_peak_memory_at_most_three_blocks():
     assert peak <= 3 * blocks["big"].nbytes
 
 
+def test_fit_peak_memory_holds_no_copy_of_the_encoder_first_layer():
+    # The parameters, one gradient set and Adam's two moments take 4x the trainable
+    # bytes, and the batch's activations a little more. A copy of the (hidden, #V)
+    # layer or a second live gradient set (W1 is 75% of the bytes here) passes 5x.
+    rng = np.random.default_rng(0)
+    n_vocab = 3000
+    corpus = make_corpus([rng.integers(0, n_vocab, size=rng.integers(20, 60)).tolist()
+                          for _ in range(192)], words=[f"w{i:04d}" for i in range(n_vocab)])
+    config = small_config(n_topics=20, emb_dim=50, hidden=200, epochs=1, batch_size=64)
+    tracemalloc.start()
+    try:
+        params, _ = fit(corpus, None, config)  # 3 steps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * sum(b.nbytes for b in model.trainable_blocks(params).values())
+
+
 def test_clipped_steps_give_one_warning_per_epoch(monkeypatch):
     monkeypatch.setattr(training, "GRAD_CLIP", 1e-12)
     _, report = fit(small_corpus(), None, small_config(epochs=2, batch_size=4))
