@@ -193,8 +193,8 @@ def test_adam_step_peak_memory_at_most_three_blocks():
 
 def test_fit_peak_memory_holds_no_copy_of_the_encoder_first_layer():
     # The parameters, one gradient set and Adam's two moments take 4x the trainable
-    # bytes, and the batch's activations a little more. A copy of the (hidden, #V)
-    # layer or a second live gradient set (W1 is 75% of the bytes here) passes 5x.
+    # bytes, and the clip's square of the W1 gradient 0.75x more (W1 is 75% of the
+    # bytes here). One more copy of the layer, or a second live gradient set, passes 5x.
     rng = np.random.default_rng(0)
     n_vocab = 3000
     corpus = make_corpus([rng.integers(0, n_vocab, size=rng.integers(20, 60)).tolist()
