@@ -75,78 +75,34 @@ def _checked_points(points):
     return points, sq
 
 
-KEY_CHUNK = 2**19  # floats of the row sort key made at once
-
-
-def _sort_key(points):
-    """(widths, columns) of a key whose lexicographic row order and equal rows are those
-    of the dense rows: `widths` is each row's key length (zero beyond it), and
-    `columns(live, lo, hi)` is key columns lo:hi of rows `live`, which must hold every
-    row with `widths > lo` (lo even, so that a block never splits a pair).
-
-    Dense rows are their own key. A CSR row's key is its stored entries as (u, v)
-    pairs, zero-padded to twice the most entries in a row: v at column c becomes
-    u = sign(v) * (V - c), then v. At the first pair where two rows differ, either
-    both hold one column (u's sign, then v, orders them as the dense values do),
-    or one row has a non-zero v where the other is still 0 (the pair with the
-    smaller column): u < 0 exactly when v < 0, which is when the dense row is
-    the smaller. Needs sorted indices and no stored zeros.
-    """
-    if not sp.issparse(points):
-        return np.full(points.shape[0], points.shape[1]), lambda live, lo, hi: points[live, lo:hi]
-    n, n_cols = points.shape
-    rows = np.repeat(np.arange(n), np.diff(points.indptr))
-    slot = 2 * (np.arange(points.nnz) - points.indptr[rows])  # u's key column
-    u = np.sign(points.data) * (n_cols - points.indices)
-
-    def columns(live, lo, hi):
-        where = np.empty(n, dtype=np.int64)
-        where[live] = np.arange(live.size)
-        cols = np.zeros((live.size, hi - lo))
-        sel = np.flatnonzero((slot >= lo) & (slot < hi))
-        flat = where[rows[sel]] * (hi - lo) + (slot[sel] - lo)  # u's place in `cols`
-        cols.ravel()[flat] = u[sel]
-        cols.ravel()[flat + 1] = points.data[sel]
-        return cols
-
-    return 2 * np.diff(points.indptr), columns
-
-
 def _row_order(points):
     """`np.lexsort` order of the rows, and ids shared by equal rows in that order.
 
-    The sort key is made in blocks of columns, each of about KEY_CHUNK floats over
-    the rows with entries there, so its memory does not follow the longest row.
-    The blocks are sorted last first, each by a stable sort of the order so far,
-    and then compared between neighbours in the final order. A row without
-    entries in a block is all zero there and keeps its place: only the rows with
-    entries are sorted, and those whose key there starts negative go first.
+    Dense rows are their own key. A CSR row's key is a list of its stored entries
+    as (u, v) pairs, closed by (0, 0): v at column c becomes u = sign(v) * (V - c),
+    then v. At the first pair where two keys differ, either both rows hold one
+    column (u's sign, then v, orders them as the dense values do), or one row has
+    a non-zero v where the other is still 0 (the pair with the smaller column, or
+    the closing pair): u < 0 exactly when v < 0, which is when the dense row is
+    the smaller. Needs sorted indices and no stored zeros.
     """
-    n = points.shape[0]
-    widths, columns = _sort_key(points)
-    width, blocks, lo = widths.max(initial=0), [], 0
-    while lo < width:
-        hi = min(lo + 2 * max(1, KEY_CHUNK // (2 * np.count_nonzero(widths > lo))), width)
-        blocks.append((lo, hi))
-        lo = hi
-    order = np.arange(n)
-    for lo, hi in reversed(blocks):
-        live = widths[order] > lo
-        key = columns(order[live], lo, hi)
-        n_neg = np.count_nonzero(key[:, 0] < 0)  # these go before the all-zero rows
-        by_key = order[live][np.lexsort(key.T[::-1])]
-        del key  # before the next block's key is made
-        order = np.concatenate((by_key[:n_neg], order[~live], by_key[n_neg:]))
-    new_row = np.zeros(n - 1, dtype=bool)
-    for lo, hi in blocks:
-        live = widths[order] > lo
-        new_row |= live[1:] != live[:-1]
-        at = np.flatnonzero(live)
-        key = columns(order[at], lo, hi)
-        pair = np.diff(at) == 1  # consecutive rows with entries that are neighbours
-        new_row[at[:-1][pair]] |= np.any(key[1:] != key[:-1], axis=1)[pair]
-        del key
-    return order, np.concatenate(([0], np.cumsum(new_row)))
+    if not sp.issparse(points):
+        order = np.lexsort(points.T[::-1])
+        rows = points[order]
+        new_row = np.any(rows[1:] != rows[:-1], axis=1)
+        return order, np.concatenate(([0], np.cumsum(new_row)))
+    n, n_cols = points.shape
+    ends = (2 * (points.indptr + np.arange(n + 1))).tolist()  # key i is flat[ends[i]:ends[i+1]]
+    at = 2 * (np.arange(points.nnz) + np.repeat(np.arange(n), np.diff(points.indptr)))
+    flat = np.zeros(ends[-1])
+    flat[at] = np.sign(points.data) * (n_cols - points.indices)
+    flat[at + 1] = points.data
+    flat = flat.tolist()
+    keys = [flat[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+    del flat
+    order = sorted(range(n), key=keys.__getitem__)
+    new_row = np.fromiter((keys[i] != keys[j] for i, j in zip(order, order[1:])), bool, n - 1)
+    return np.array(order), np.concatenate(([0], np.cumsum(new_row)))
 
 
 def _dense(rows):

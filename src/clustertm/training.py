@@ -169,7 +169,8 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
     kw = {}
     if config.model_kind == "modified":
         kw = dict(centres=cluster_model.centres,
-                  log_g0=np.log(corpus.g0),
+                  log_g0=np.log(corpus.g0, out=np.full_like(corpus.g0, -np.inf),
+                                where=corpus.g0 > 0),  # an unused word: -inf, no warning
                   assignment=cluster_model.assignment)
     params = model.init_params(
         config.model_kind, corpus.vocab_size, config.n_topics, config.emb_dim,

@@ -2,7 +2,6 @@ import itertools
 import json
 import logging
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,9 +114,23 @@ def test_lloyd_stops_at_zero_inertia():
     assert len(model.inertia_history) < cluster.MAX_ITER
 
 
-def test_kmeans_invariant_to_point_order():
+def csr_order_points(rng):
+    """Sparse rows with duplicates, a prefix of another row, a negative entry and a
+    row holding every column."""
+    dense = rng.random((40, 12)) * (rng.random((40, 12)) < 0.3)
+    dense[5] = dense[4]
+    dense[9, :8] = dense[8, :8] = rng.random(8) + 0.5
+    dense[8, 8:], dense[9, 10] = 0.0, 0.7  # row 8's entries are the first of row 9's
+    dense[10, 3] = -1.0
+    dense[11] = rng.random(12) + 0.5
+    return sp.csr_matrix(dense)
+
+
+@pytest.mark.parametrize("make_points", [lambda rng: rng.normal(size=(40, 2)), csr_order_points],
+                         ids=["dense", "csr"])
+def test_kmeans_invariant_to_point_order(make_points):
     rng = np.random.default_rng(5)
-    points = rng.normal(size=(40, 2))
+    points = make_points(rng)
     model_a = kmeans(points, 3, seed=2)
     perm = rng.permutation(40)
     model_b = kmeans(points[perm], 3, seed=2)
@@ -361,24 +374,19 @@ def csr_with_dense_copy(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(csr_with_dense_copy(), st.sampled_from([cluster.KEY_CHUNK, 1]))
-def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case, key_chunk):
-    # key_chunk=1 sorts the key one (u, v) pair (or dense column pair) at a time
+@given(csr_with_dense_copy())
+def test_csr_sort_key_orders_and_groups_rows_as_dense_lexsort(case):
     dense, points = case
     want = np.lexsort(dense.T[::-1])
     sorted_rows = dense[want]
     new_row = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-    with mock.patch.object(cluster, "KEY_CHUNK", key_chunk):
-        for rows in (points, dense):
-            order, group = cluster._row_order(cluster._checked_points(rows)[0])
-            assert np.array_equal(order, want)
-            assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
+    for rows in (points, dense):
+        order, group = cluster._row_order(cluster._checked_points(rows)[0])
+        assert np.array_equal(order, want)
+        assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
 
 
-@pytest.mark.parametrize("key_chunk", [cluster.KEY_CHUNK, 16])
-def test_csr_sort_key_long_rows_over_many_short_negative_rows(key_chunk):
-    # Past the short rows, only the long ones have key entries; at key_chunk=16 they
-    # run through many blocks, around which the short rows keep their places.
+def test_csr_sort_key_long_rows_over_many_short_negative_rows():
     rng = np.random.default_rng(12)
     dense = np.zeros((60, 40))
     for row in dense[:56]:
@@ -386,14 +394,13 @@ def test_csr_sort_key_long_rows_over_many_short_negative_rows(key_chunk):
         row[cols] = rng.choice([-1.0, -0.5, 0.5, 1.0], size=cols.size)
     dense[56] = rng.choice([-1.0, 1.0], size=40)
     dense[57:59] = dense[56]
-    dense[58, -1] *= -1  # differs from the other two long rows in the last block only
+    dense[58, -1] *= -1  # differs from the other two long rows in the last column only
     dense[59, :3] = dense[0, :3]  # starts as a short row does
     dense[59, 3:] = -1.0
     dense = dense[rng.permutation(60)]
     want = np.lexsort(dense.T[::-1])
     sorted_rows = dense[want]
     new_row = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-    with mock.patch.object(cluster, "KEY_CHUNK", key_chunk):
-        order, group = cluster._row_order(cluster._checked_points(sp.csr_matrix(dense))[0])
+    order, group = cluster._row_order(cluster._checked_points(sp.csr_matrix(dense))[0])
     assert np.array_equal(order, want)
     assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))

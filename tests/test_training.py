@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,19 @@ def test_config_validation():
 def test_modified_requires_clusters():
     with pytest.raises(TrainingError):
         fit(small_corpus(), None, small_config(model_kind="modified"))
+
+
+def test_modified_fit_gives_unused_words_zero_probability_without_warnings():
+    corpus, _ = make_planted(1, n_docs=64)
+    unused = corpus.g0 == 0
+    assert unused.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params, _ = fit(corpus, cluster_corpus(corpus, 3, seed=0),
+                        small_config(model_kind="modified", epochs=1))
+    beta = np.exp(model.log_topic_word_matrix(params))
+    assert np.all(beta[:, unused] == 0.0)
+    assert np.all(beta[:, ~unused] > 0.0)
 
 
 def test_fit_returns_one_elbo_per_epoch_and_improves():
