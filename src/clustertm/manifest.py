@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
+
+# the BLAS thread counts: byte-identical reruns hold at a fixed count
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path) -> str:
@@ -16,6 +23,14 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    """The BLAS thread variables (None when unset), and the numpy, scipy and BLAS versions."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {**{name: os.environ.get(name) for name in THREAD_VARIABLES},
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
 def write_manifest(artifact_path, command: str, args: dict, inputs: list,
                    seed: int | None = None) -> Path:
     """Write `<artifact>.manifest.json` atomically; returns the manifest path."""
@@ -24,6 +39,7 @@ def write_manifest(artifact_path, command: str, args: dict, inputs: list,
     payload = {
         "command": command,
         "config": {k: v for k, v in sorted(args.items())},
+        "environment": _environment(),
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "seed": seed,
         "version": __version__,

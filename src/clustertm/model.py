@@ -27,6 +27,18 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+# scipy's logsumexp makes about six temporaries the size of its input, so the (nnz, #T)
+# joint goes through it in blocks of this many rows. Each row's value is unchanged.
+LSE_ROWS = 2048
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    out = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], LSE_ROWS):
+        out[start : start + LSE_ROWS] = logsumexp(a[start : start + LSE_ROWS], axis=1)
+    return out
+
+
 @dataclass
 class VariationalStats:
     mean: np.ndarray
@@ -151,13 +163,25 @@ def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
 
 
 def _encoder(params: ModelParams, hist: sp.csr_matrix):
-    """(a1, z1, a2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts."""
+    """(s1, z1, s2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts.
+
+    Each hidden layer's output is z = softplus(a). Once z is taken, the pre-activation a
+    is overwritten by sigmoid(a), the derivative of z that the backward pass reads.
+    """
     enc = params.enc
-    a1 = hist @ enc["W1"] + enc["b1"]
-    z1 = _softplus(a1)
-    a2 = z1 @ enc["W2"].T + enc["b2"]
-    z2 = _softplus(a2)
-    return a1, z1, a2, z2, z2 @ enc["Wm"].T + enc["bm"], z2 @ enc["Ws"].T + enc["bs"]
+    s1 = hist @ enc["W1"]
+    s1 += enc["b1"]
+    z1 = _softplus(s1)
+    expit(s1, out=s1)
+    s2 = z1 @ enc["W2"].T
+    s2 += enc["b2"]
+    z2 = _softplus(s2)
+    expit(s2, out=s2)
+    mean = z2 @ enc["Wm"].T
+    mean += enc["bm"]
+    log_s = z2 @ enc["Ws"].T
+    log_s += enc["bs"]
+    return s1, z1, s2, z2, mean, log_s
 
 
 def encode(params: ModelParams, doc: Document) -> VariationalStats:
@@ -195,12 +219,14 @@ def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
-             kl_weight: float):
-    """Batched single-sample ELBO over the (nnz, #T) support of the batch.
+             kl_weight: float, with_grad: bool):
+    """Batched single-sample ELBO over the (nnz, #T) support of the batch, and with
+    `with_grad` its gradients (None without).
 
     Only the words a document contains enter its likelihood (Dieng, Ruiz &
-    Blei 2020), so words absent from the batch are never touched. Returns the
-    ELBO and a closure that computes its gradients from the cached values.
+    Blei 2020), so words absent from the batch are never touched. The backward
+    pass overwrites the forward values in place and frees each after its last
+    use (Chen et al. 2016, section 3), so it runs here, once per forward pass.
     """
     enc = params.enc
     x = doc_term_matrix(docs, params.n_vocab)
@@ -211,13 +237,13 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     ids = np.asarray(doc_ids, dtype=np.int64)
     eps = _noise(seed, n_docs, params.n_topics)
 
-    a1, z1, a2, z2, mean, log_s = _encoder(params, hist)
+    s1, z1, s2, z2, mean, log_s = _encoder(params, hist)
     s = np.exp(log_s)
     xtil = mean + s * eps
     log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
     log_beta, e_t, h1 = _topic_side(params)
     log_joint = log_theta[rows] + log_beta[:, x.indices].T
-    log_p = logsumexp(log_joint, axis=1)
+    log_p = _logsumexp_rows(log_joint)
 
     m0 = np.zeros_like(mean)
     if params.kind == "modified":
@@ -225,55 +251,66 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
         lam = np.exp(params.log_lambda[ids])
         m0[np.arange(n_docs), topic] = lam
     elbo = float(x.data @ log_p) - kl_weight * kl_to_prior(VariationalStats(mean, log_s), m0)
+    if not with_grad:
+        return elbo, None
 
-    def backward() -> dict[str, np.ndarray]:
-        # responsibilities n_{d,w} p(t | w, d), summed per document and per word
-        resp = x.data[:, None] * np.exp(log_joint - log_p[:, None])
-        r = sp.csr_matrix((np.ones(nnz), np.arange(nnz), x.indptr), shape=(n_docs, nnz)) @ resp
-        r_word = sp.csc_matrix((np.ones(nnz), x.indices, np.arange(nnz + 1)),
-                               shape=(params.n_vocab, nnz)) @ resp
+    # responsibilities n_{d,w} p(t | w, d), written over log_joint, summed per document and per word
+    resp = log_joint
+    resp -= log_p[:, None]
+    np.exp(resp, out=resp)
+    resp *= x.data[:, None]
+    r = sp.csr_matrix((np.ones(nnz), np.arange(nnz), x.indptr), shape=(n_docs, nnz)) @ resp
+    r_word = sp.csc_matrix((np.ones(nnz), x.indices, np.arange(nnz + 1)),
+                           shape=(params.n_vocab, nnz)) @ resp
+    del resp, log_joint
 
-        # softmax backprop for theta, then heads and KL terms
-        d_xtil = r - np.exp(log_theta) * lengths[:, None]
-        d_m = d_xtil + kl_weight * (m0 - mean)
-        d_log_s = d_xtil * s * eps + kl_weight * (1.0 - s * s)
-        grads = {}
-        d_z2 = d_m @ enc["Wm"] + d_log_s @ enc["Ws"]
-        grads["enc.Wm"] = d_m.T @ z2
-        grads["enc.bm"] = d_m.sum(axis=0)
-        grads["enc.Ws"] = d_log_s.T @ z2
-        grads["enc.bs"] = d_log_s.sum(axis=0)
-        d_a2 = d_z2 * expit(a2)
-        grads["enc.W2"] = d_a2.T @ z1
-        grads["enc.b2"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ enc["W2"]) * expit(a1)
-        grads["enc.W1"] = hist.T @ d_a1
-        grads["enc.b1"] = d_a1.sum(axis=0)
+    # softmax backprop for theta, then heads and KL terms
+    d_xtil = r - np.exp(log_theta) * lengths[:, None]
+    d_m = d_xtil + kl_weight * (m0 - mean)
+    d_log_s = d_xtil * s * eps + kl_weight * (1.0 - s * s)
+    grads = {}
+    grads["enc.Wm"] = d_m.T @ z2
+    grads["enc.bm"] = d_m.sum(axis=0)
+    grads["enc.Ws"] = d_log_s.T @ z2
+    grads["enc.bs"] = d_log_s.sum(axis=0)
+    del z2
+    d_a2 = d_m @ enc["Wm"]  # d_z2, then times the stored sigmoid
+    d_a2 += d_log_s @ enc["Ws"]
+    d_a2 *= s2
+    del s2
+    grads["enc.W2"] = d_a2.T @ z1
+    grads["enc.b2"] = d_a2.sum(axis=0)
+    del z1
+    d_a1 = d_a2 @ enc["W2"]
+    del d_a2
+    d_a1 *= s1
+    del s1
+    grads["enc.W1"] = hist.T @ d_a1
+    grads["enc.b1"] = d_a1.sum(axis=0)
+    del d_a1
 
-        d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
-        if params.kind == "etm":
-            grads["topic_emb"] = d_logits @ params.word_emb
-        else:
-            xi = params.xi
-            d_e = d_logits @ params.word_emb
-            grads["xi.W2"] = d_e.T @ h1
-            grads["xi.b2"] = d_e.sum(axis=0)
-            d_a = (d_e @ xi["W2"]) * (1.0 - h1 * h1)
-            grads["xi.W1"] = d_a.T @ params.centres
-            grads["xi.b1"] = d_a.sum(axis=0)
-            grads["log_lambda"] = np.bincount(
-                ids, weights=kl_weight * lam * (mean[np.arange(n_docs), topic] - lam),
-                minlength=params.log_lambda.size)
-        if not params.freeze_word_emb:
-            grads["word_emb"] = d_logits.T @ e_t
-        return {name: grads[name] for name in trainable_blocks(params)}
-
-    return elbo, backward
+    d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
+    if params.kind == "etm":
+        grads["topic_emb"] = d_logits @ params.word_emb
+    else:
+        xi = params.xi
+        d_e = d_logits @ params.word_emb
+        grads["xi.W2"] = d_e.T @ h1
+        grads["xi.b2"] = d_e.sum(axis=0)
+        d_a = (d_e @ xi["W2"]) * (1.0 - h1 * h1)
+        grads["xi.W1"] = d_a.T @ params.centres
+        grads["xi.b1"] = d_a.sum(axis=0)
+        grads["log_lambda"] = np.bincount(
+            ids, weights=kl_weight * lam * (mean[np.arange(n_docs), topic] - lam),
+            minlength=params.log_lambda.size)
+    if not params.freeze_word_emb:
+        grads["word_emb"] = d_logits.T @ e_t
+    return elbo, {name: grads[name] for name in trainable_blocks(params)}
 
 
 def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int) -> float:
     """Single-sample reparameterized ELBO summed over the batch."""
-    return _forward(params, docs, doc_ids, seed, 1.0)[0]
+    return _forward(params, docs, doc_ids, seed, 1.0, False)[0]
 
 
 def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
@@ -283,8 +320,7 @@ def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     `kl_weight` < 1 gives the annealed objective used early in training.
     Returns (elbo, grads) where grads has one array per trainable block.
     """
-    elbo, backward = _forward(params, docs, doc_ids, seed, kl_weight)
-    return elbo, backward()
+    return _forward(params, docs, doc_ids, seed, kl_weight, True)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
     lines = [f"{len(emb.words)} {emb.dim}"]
     for word, row in zip(emb.words, emb.vectors):
-        lines.append(word + " " + " ".join(repr(float(x)) for x in row))
+        lines.append(word + " " + " ".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
@@ -175,7 +175,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         for line in lines[1 : n + 1]:
             parts = line.split(" ")
             words.append(parts[0])
-            rows.append([float(x) for x in parts[1 : dim + 1]])
+            rows.append(list(map(float, parts[1 : dim + 1])))
         vectors = np.asarray(rows)
     except (IndexError, ValueError) as e:
         raise SgnsError(f"{path}: malformed embedding file ({e})") from e

@@ -74,22 +74,25 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Ascent step (gradients point uphill)."""
+    def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale,
+             decayed):
+        """Ascent step (gradients point uphill) on the gradients times `scale`, after which
+        the blocks named in `decayed` shrink by the weight decay."""
         self.t += 1
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(blocks[name])
                 self.v[name] = np.zeros_like(blocks[name])
-            self._update(blocks[name], g, self.m[name], self.v[name])
+            self._update(blocks[name], g, self.m[name], self.v[name], scale, name in decayed)
 
-    def _update(self, block, g, m, v):
-        """In place, chunk by chunk, in the operation order of
-        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps).
+    def _update(self, block, g, m, v, scale, decay: bool):
+        """In place, chunk by chunk, in the operation order of g *= scale,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps),
+        then block *= 1 - WEIGHT_DECAY if `decay`: one pass over the block.
 
         `block`, `m` and `v` must be C-contiguous: their flat views are written. A
         gradient in another layout is copied into the block's layout first. It is
-        converted here, not where it is computed, because `_clip_global_norm` sums
+        converted here, not where it is computed, because `_global_norm` sums
         it in memory order. The model's gradients are all C-ordered, so none is copied.
         """
         if not all(a.flags.c_contiguous for a in (block, m, v)):
@@ -99,8 +102,10 @@ class Adam:
         tmp_buf, den_buf = np.empty((2, min(ADAM_CHUNK, g.size)))
         for start in range(0, g.size, ADAM_CHUNK):
             sl = slice(start, start + ADAM_CHUNK)
-            gc, mc, vc = g[sl], m[sl], v[sl]
+            gc, mc, vc, bc = g[sl], m[sl], v[sl], block[sl]
             tmp, den = tmp_buf[: gc.size], den_buf[: gc.size]
+            if scale != 1.0:
+                gc *= scale
             mc *= self.beta1
             mc += np.multiply(gc, 1 - self.beta1, out=tmp)
             vc *= self.beta2
@@ -112,7 +117,9 @@ class Adam:
             np.divide(mc, c1, out=tmp)
             tmp *= self.lr
             tmp /= den
-            block[sl] += tmp
+            bc += tmp
+            if decay:
+                bc *= 1.0 - WEIGHT_DECAY
 
 
 # ETM's training choices (Dieng, Ruiz & Blei 2020): decay of the encoder weights only
@@ -121,33 +128,35 @@ WEIGHT_DECAY = 1.2e-6
 GRAD_CLIP = 5.0
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], limit: float) -> bool:
+def _global_norm(grads: dict[str, np.ndarray], epoch: int):
+    """The gradients' global L2 norm: infinite also when finite blocks' squares overflow.
+    The blocks are scanned only when it is not finite, and a block holding NaN or an
+    infinity raises TrainingError by name."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if norm > limit:
-        scale = limit / norm
-        for g in grads.values():
-            g *= scale
-        return True
-    return False
+    if not np.isfinite(norm):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
+    return norm
 
 
 def _step(params: model.ModelParams, opt: Adam, docs, ids, seed: int, kl_weight: float,
           epoch: int) -> tuple[float, bool]:
     """One Adam step on a batch: its ELBO and whether the gradient was clipped. The
-    gradients are freed on return, before the next batch's backward pass."""
+    gradients are freed on return, before the next batch's backward pass.
+
+    Each block is divided by the batch size, squared for the clip norm, then clipped,
+    stepped and decayed in Adam's single chunked pass. An infinite norm from finite
+    gradients clips them with scale 0: a zero step."""
     value, grads = model.elbo_and_grad(params, docs, ids, seed, kl_weight=kl_weight)
     if not np.isfinite(value):
         raise TrainingError(f"non-finite ELBO at epoch {epoch}")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
     for g in grads.values():
         g /= len(docs)
-    clipped = _clip_global_norm(grads, GRAD_CLIP)
-    blocks = model.trainable_blocks(params)
-    opt.step(blocks, grads)
-    for name in _DECAYED:
-        blocks[name] *= 1.0 - WEIGHT_DECAY
+    norm = _global_norm(grads, epoch)
+    clipped = bool(norm > GRAD_CLIP)
+    opt.step(model.trainable_blocks(params), grads, GRAD_CLIP / norm if clipped else 1.0,
+             _DECAYED)
     return value, clipped
 
 

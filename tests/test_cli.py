@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from clustertm import cli, training
 from clustertm.corpus import PreprocessOptions, load_corpus
@@ -294,6 +295,21 @@ def test_preprocess_and_pretrain_manifests_record_effective_defaults(texts_dir, 
     assert read_manifest(corpus)["config"] == {"min_freq": PreprocessOptions().min_freq,
                                                "stopwords": None, "lemma": None}
     assert read_manifest(emb)["config"] == {"dim": 4, **asdict(SgnsConfig())}
+
+
+def test_manifests_record_blas_threads_and_library_versions(texts_dir, tmp_path, monkeypatch):
+    # byte-identical reruns hold at a fixed BLAS thread count, so each manifest says which
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    corpus, emb = tmp_path / "corpus.json", tmp_path / "emb.txt"
+    assert run(["preprocess", texts_dir, corpus]) == 0
+    assert run(["pretrain", corpus, emb, "--dim", 4]) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3",
+                "numpy": np.__version__, "scipy": scipy.__version__,
+                "blas": f"{blas['name']} {blas['version']}"}
+    assert read_manifest(corpus)["environment"] == read_manifest(emb)["environment"] == expected
 
 
 def test_preprocess_with_empty_stopword_list_keeps_every_word(tmp_path):

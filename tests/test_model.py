@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from clustertm import metrics, model
 from clustertm.corpus import Document, doc_term_matrix
 from conftest import make_corpus, rel_err
 import oracles
+from model_reference import reference_elbo_and_grad
 
 
 def etm_params(n_vocab=20, n_topics=3, emb_dim=4, hidden=5, n_docs=5, seed=1,
@@ -371,6 +373,57 @@ def test_elbo_and_grad_finite_with_unseen_zero_frequency_word():
     assert value == model.elbo_minibatch(p, docs, [0, 1], seed=4)
     for name, g in grads.items():
         assert np.isfinite(g).all(), name
+
+
+def perturbed(params, seed):
+    """`params` with every trainable block moved off its initial draw (biases off zero)."""
+    rng = np.random.default_rng(seed)
+    for block in model.trainable_blocks(params).values():
+        block += rng.normal(scale=0.5, size=block.shape)
+    return params
+
+
+@pytest.mark.parametrize("kl_weight", [0.5, 1.0])
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("kind", ["etm", "modified"])
+def test_elbo_and_grad_bit_identical_to_reference(kind, freeze, kl_weight, monkeypatch):
+    # the in-place forward and backward pass against the one it replaced, on a
+    # (nnz, #T) joint that spans several blocks of `_logsumexp_rows`
+    monkeypatch.setattr(model, "LSE_ROWS", 64)
+    shape = dict(n_vocab=90, n_topics=6, emb_dim=8, hidden=48, n_docs=40, seed=31)
+    p = etm_params(**shape) if kind == "etm" else modified_params(**shape)
+    p = perturbed(dataclasses.replace(p, freeze_word_emb=freeze), seed=32)
+    docs = random_docs(n_docs=40, n_vocab=90, seed=33)
+    ids = np.arange(40)[::-1]
+    value, grads = model.elbo_and_grad(p, docs, ids, seed=34, kl_weight=kl_weight)
+    ref_value, ref_grads = reference_elbo_and_grad(p, docs, ids, seed=34, kl_weight=kl_weight)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert list(grads) == list(ref_grads) == list(model.trainable_blocks(p))
+    for name, g in grads.items():
+        assert g.dtype == ref_grads[name].dtype and g.shape == ref_grads[name].shape, name
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+    ref_full = reference_elbo_and_grad(p, docs, ids, seed=34, kl_weight=1.0)[0]
+    assert model.elbo_minibatch(p, docs, ids, seed=34) == ref_full
+
+
+def test_elbo_and_grad_peak_memory_holds_few_hidden_layer_arrays():
+    # A (batch, hidden) array is 0.64 MB here and the gradients take 2.35 MB. The backward
+    # pass needs the four hidden-layer arrays s1, z1, s2, z2 of the forward pass, and frees
+    # each at its last use. Measured over the gradient bytes: 9.6 arrays when every forward
+    # value lived until the backward pass returned, 3.3 with the activations freed.
+    rng = np.random.default_rng(40)
+    n_vocab, hidden, n_docs = 300, 400, 200
+    p = etm_params(n_vocab=n_vocab, n_topics=10, emb_dim=16, hidden=hidden, n_docs=n_docs)
+    docs = [Document(tokens=rng.integers(0, n_vocab, size=rng.integers(20, 60)).tolist())
+            for _ in range(n_docs)]
+    tracemalloc.start()
+    try:
+        _, grads = model.elbo_and_grad(p, docs, range(n_docs), seed=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer = n_docs * hidden * 8
+    assert peak <= sum(g.nbytes for g in grads.values()) + 5 * layer
 
 
 # ---------------------------------------------------------------- top words

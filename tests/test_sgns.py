@@ -112,6 +112,31 @@ def test_embeddings_roundtrip(tmp_path):
     assert np.abs(back.vectors - emb.vectors).max() < 1e-6
 
 
+def test_saved_embeddings_are_byte_equal_to_the_per_scalar_formatter(tmp_path):
+    # the file must not change under a faster formatter: manifests hash it
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(scale=10.0 ** rng.integers(-20, 20, size=(5, 6)))
+    vectors[0, :] = [-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308, -1.7976931348623157e308]
+    vectors[1, :] = [0.1, 1 / 3, -2.5e-5, 1e16, 123456789.0, -1e-7]
+    emb = EmbeddingMatrix(vectors, ["a", "b", "c", "d", "e"])
+    path = tmp_path / "emb.txt"
+    save_embeddings(emb, path)
+    lines = ["5 6"] + [w + " " + " ".join(repr(float(x)) for x in row)
+                       for w, row in zip(emb.words, vectors)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    back = load_embeddings(path)
+    assert back.words == emb.words and back.vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "2\n", "2 2\na 0.5 x\nb 1.0 2.0\n",
+                                  "2 2\na 0.5\nb 1.0 2.0\n", "3 2\na 1 2\n"])
+def test_load_embeddings_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, "utf-8")
+    with pytest.raises(SgnsError, match=str(path)):
+        load_embeddings(path)
+
+
 def test_load_embeddings_rejects_non_finite_values(tmp_path):
     path = tmp_path / "emb.txt"
     for bad in ("nan", "inf", "-inf"):

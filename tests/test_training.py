@@ -7,6 +7,7 @@ import pytest
 
 from clustertm import model, training
 from clustertm.cluster import cluster_corpus
+from clustertm.corpus import Document
 from clustertm.training import Adam, TrainConfig, TrainingError, fit, run_experiment
 from conftest import make_corpus, make_planted
 
@@ -114,7 +115,7 @@ def test_optimizer_zero_gradient_is_noop():
     params = model.init_params("etm", 10, 3, 4, 5, hidden=6, seed=0)
     blocks = model.trainable_blocks(params)
     before = {k: v.copy() for k, v in blocks.items()}
-    Adam(1e-2).step(blocks, zero_grads_like(blocks))
+    Adam(1e-2).step(blocks, zero_grads_like(blocks), 1.0, ())
     for k in blocks:
         assert np.array_equal(blocks[k], before[k])
 
@@ -140,7 +141,7 @@ def test_adam_in_place_step_matches_reference_bit_for_bit():
     for _ in range(6):
         grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
                  for k, v in blocks.items()}
-        opt.step(blocks, {k: g.copy() for k, g in grads.items()})
+        opt.step(blocks, {k: g.copy() for k, g in grads.items()}, 1.0, ())
         reference_adam_step(ref, ref_blocks, grads)
         for k in blocks:
             assert blocks[k].tobytes() == ref_blocks[k].tobytes()
@@ -174,7 +175,7 @@ def test_chunked_adam_update_matches_unchunked_on_fortran_gradient():
     opt, ref = Adam(2e-3), Adam(2e-3)
     for _ in range(5):
         g = np.asfortranarray(rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape))
-        opt.step({"W": block}, {"W": g})
+        opt.step({"W": block}, {"W": g}, 1.0, ())
         ref.t += 1
         unchunked_adam_update(ref, ref_block, g, ref_m, ref_v)
         assert block.tobytes() == ref_block.tobytes()
@@ -182,11 +183,31 @@ def test_chunked_adam_update_matches_unchunked_on_fortran_gradient():
         assert opt.v["W"].tobytes() == ref_v.tobytes()
 
 
+def test_adam_clip_scale_and_decay_in_its_pass_match_separate_passes():
+    # the clip scale and the weight decay ride in Adam's chunk loop, in the order of
+    # g *= scale over every block, the Adam step, then the decay: bit for bit
+    rng = np.random.default_rng(8)
+    blocks = {"W": rng.normal(size=(3, training.ADAM_CHUNK - 5)), "b": rng.normal(size=7)}
+    ref_blocks = {k: v.copy() for k, v in blocks.items()}
+    opt, ref = Adam(2e-3), Adam(2e-3)
+    for scale in (0.37, 1.0, 0.0, 1e-3):
+        grads = {k: rng.normal(scale=10.0, size=v.shape) for k, v in blocks.items()}
+        opt.step(blocks, {k: g.copy() for k, g in grads.items()}, scale, ("W",))
+        for g in grads.values():
+            g *= scale
+        reference_adam_step(ref, ref_blocks, grads)
+        ref_blocks["W"] *= 1.0 - training.WEIGHT_DECAY
+        for k in blocks:
+            assert blocks[k].tobytes() == ref_blocks[k].tobytes()
+            assert opt.m[k].tobytes() == ref.m[k].tobytes()
+            assert opt.v[k].tobytes() == ref.v[k].tobytes()
+
+
 def test_adam_rejects_block_without_flat_view():
     # a flat reshape of a non-contiguous block is a copy, and the update would be lost
     block = np.asfortranarray(np.random.default_rng(7).normal(size=(4, 5)))
     with pytest.raises(TrainingError, match="C-contiguous"):
-        Adam(1e-3).step({"W": block}, {"W": np.ones((4, 5))})
+        Adam(1e-3).step({"W": block}, {"W": np.ones((4, 5))}, 1.0, ())
 
 
 def test_adam_step_peak_memory_at_most_three_blocks():
@@ -195,10 +216,10 @@ def test_adam_step_peak_memory_at_most_three_blocks():
               "small": rng.normal(size=50)}
     grads = {k: rng.normal(size=v.shape) for k, v in blocks.items()}
     opt = Adam(1e-3)
-    opt.step(blocks, grads)  # allocates the moment estimates
+    opt.step(blocks, grads, 1.0, ())  # allocates the moment estimates
     tracemalloc.start()
     try:
-        opt.step(blocks, grads)
+        opt.step(blocks, grads, 1.0, ())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,6 +242,57 @@ def test_fit_peak_memory_holds_no_copy_of_the_encoder_first_layer():
     finally:
         tracemalloc.stop()
     assert peak <= 5.0 * sum(b.nbytes for b in model.trainable_blocks(params).values())
+
+
+def edited_step_inputs(monkeypatch, edit):
+    """A small ETM, its optimizer and a batch, with `model.elbo_and_grad` patched so
+    that `edit` changes the gradients in place before `_step` sees them."""
+    real = model.elbo_and_grad
+
+    def edited(params, docs, ids, seed, kl_weight=1.0):
+        value, grads = real(params, docs, ids, seed, kl_weight=kl_weight)
+        edit(grads)
+        return value, grads
+
+    monkeypatch.setattr(model, "elbo_and_grad", edited)
+    docs = [Document(tokens=[d, d + 1, 2 * d, 11 - d]) for d in range(6)]
+    return model.init_params("etm", 12, 3, 4, 6, hidden=5, seed=2), Adam(1e-3), docs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["enc.W1", "enc.b2", "word_emb", "topic_emb"])
+def test_step_names_the_block_holding_a_non_finite_gradient(monkeypatch, name, bad):
+    def edit(grads):
+        grads[name].flat[1] = bad
+        grads["enc.Ws"].flat[0] = 1e300  # finite, though its square overflows
+
+    params, opt, docs = edited_step_inputs(monkeypatch, edit)
+    before = {k: v.copy() for k, v in model.trainable_blocks(params).items()}
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=f"non-finite gradient in block '{name}' at epoch 3"):
+        training._step(params, opt, docs, np.arange(6), 5, 1.0, 3)
+    assert opt.t == 0 and not opt.m
+    for k, block in model.trainable_blocks(params).items():
+        assert block.tobytes() == before[k].tobytes(), k
+
+
+def test_step_clips_a_finite_gradient_whose_square_overflows_to_a_zero_step(monkeypatch):
+    def edit(grads):
+        grads["enc.W2"].flat[0] = 1e300  # (1e300 / 6) ** 2 overflows to inf
+
+    params, opt, docs = edited_step_inputs(monkeypatch, edit)
+    before = {k: v.copy() for k, v in model.trainable_blocks(params).items()}
+    with np.errstate(over="ignore"):
+        value, clipped = training._step(params, opt, docs, np.arange(6), 5, 1.0, 0)
+    assert np.isfinite(value) and clipped
+    for name, block in model.trainable_blocks(params).items():
+        expected = before[name]
+        if name in ("enc.W1", "enc.W2", "enc.Wm", "enc.Ws"):
+            expected = expected * (1.0 - 1.2e-6)  # the weight decay still applies
+        assert np.array_equal(block, expected), name
+    assert opt.t == 1
+    assert not any(m.any() for m in opt.m.values())
+    assert not any(v.any() for v in opt.v.values())
 
 
 def test_clipped_steps_give_one_warning_per_epoch(monkeypatch):
