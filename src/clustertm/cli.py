@@ -97,13 +97,16 @@ def cmd_train(args) -> None:
         return
 
     settings.update(_typed(model_kind=args.model, pretrained_path=args.pretrained))
-    settings.setdefault("freeze_word_emb",
-                        bool(settings.get("pretrained_path")) and not args.tune_embeddings)
+    pretrained = settings.pop("pretrained_path", None)
+    settings.setdefault("freeze_word_emb", bool(pretrained) and not args.tune_embeddings)
     config = training.TrainConfig(**settings)
     cm = clustering.load_clusters(args.clusters) if args.clusters else None
-    _, report = training.fit(corpus, cm, config, checkpoint_path=args.output)
-    inputs += [p for p in (args.clusters, config.pretrained_path) if p]
-    manifest.write_manifest(args.output, "train", asdict(config), inputs, seed=config.seed)
+    emb = sgns.load_embeddings(pretrained) if pretrained else None
+    params, report = training.fit(corpus, cm, config, embeddings=emb)
+    model.save_checkpoint(params, args.output)
+    inputs += [p for p in (args.clusters, pretrained) if p]
+    manifest.write_manifest(args.output, "train", {**asdict(config), "pretrained_path": pretrained},
+                            inputs, seed=config.seed)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", "utf-8")
     print(f"wrote {args.output} (final mean ELBO {report.epoch_elbo[-1]:.4f})")

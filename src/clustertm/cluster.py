@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .sgns import EmbeddingMatrix
+from .sgns import EmbeddingMatrix, check_vocabulary
 
 logger = logging.getLogger(__name__)
 MAX_ITER = 100  # Lloyd passes per k-means restart
@@ -39,6 +39,7 @@ def vectorize_documents(corpus: Corpus, embeddings: EmbeddingMatrix | None = Non
     embeddings (CSR with sorted column indices)."""
     x = corpus.doc_term
     if embeddings is not None:
+        check_vocabulary(embeddings, corpus)
         return (x @ embeddings.vectors) / x.sum(axis=1).A
     df = (x > 0).sum(axis=0).A1
     idf = np.log((1.0 + corpus.n_docs) / (1.0 + df)) + 1.0  # smooth, strictly positive

@@ -10,6 +10,7 @@ import numpy as np
 from .corpus import Corpus
 
 SWEEPS = 1000  # Gibbs sweeps when the caller names none
+BETA = 0.01  # symmetric topic-word prior
 
 
 class LdaError(Exception):
@@ -30,8 +31,8 @@ class LdaState:
         return self.n_tv.shape[0]
 
 
-def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: float = 0.01,
-            sweeps: int = SWEEPS, seed: int = 0, on_sweep=None) -> LdaState:
+def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: int = SWEEPS,
+            seed: int = 0, on_sweep=None) -> LdaState:
     """Run collapsed Gibbs sweeps; last sample kept. Deterministic given the seed.
 
     `on_sweep(z)` is called with the assignment arrays after every sweep, for
@@ -39,7 +40,7 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: flo
 
     During the sweeps the counts live in Python lists, so that sampling a token
     makes no numpy call. The draw is the same as the elementwise
-    `p = (n_tv[:, v] + beta) * (n_dt[d] + alpha) / (n_t + V * beta)`, then
+    `p = (n_tv[:, v] + BETA) * (n_dt[d] + alpha) / (n_t + V * BETA)`, then
     `searchsorted(cumsum(p), u * sum, side="right")`, with one uniform `u` per
     token taken in token order: the running sum adds in `cumsum`'s order and
     `rng.random(n)` yields the doubles of n calls to `rng.random()`.
@@ -50,9 +51,9 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, beta: flo
         alpha = 50.0 / n_topics
     if not (_is_int(sweeps) and sweeps >= 0):
         raise LdaError(f"sweeps must be an integer >= 0, got {sweeps!r}")
-    if not (0 < alpha < np.inf and 0 < beta < np.inf):  # also rejects NaN
-        raise LdaError(f"alpha and beta must be finite and > 0, got {alpha!r} and {beta!r}")
-    alpha, beta = float(alpha), float(beta)  # Python floats keep numpy scalars out of the loop
+    if not 0 < alpha < np.inf:  # also rejects NaN
+        raise LdaError(f"alpha must be finite and > 0, got {alpha!r}")
+    alpha, beta = float(alpha), BETA  # Python floats keep numpy scalars out of the loop
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs
     docs = [np.asarray(d.tokens, dtype=np.int64) for d in corpus.documents]

@@ -168,19 +168,32 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
+    """Read a `save_embeddings` file: a `rows dim` header, then exactly `rows` lines of a
+    word and `dim` values. Any other shape raises SgnsError naming the line."""
     lines = Path(path).read_text("utf-8").splitlines()
+    i = 1  # the line read, for the error
     try:
         n, dim = map(int, lines[0].split())
+        if len(lines) != n + 1:
+            i = min(len(lines), n + 1) + 1
+            raise ValueError(f"the header says {n} rows, the file holds {len(lines) - 1}")
         words, rows = [], []
-        for line in lines[1 : n + 1]:
-            parts = line.split(" ")
-            words.append(parts[0])
-            rows.append(list(map(float, parts[1 : dim + 1])))
-        vectors = np.asarray(rows)
+        for i, line in enumerate(lines[1:], start=2):
+            word, *values = line.split(" ")
+            if len(values) != dim:
+                raise ValueError(f"{len(values)} values, the header says {dim}")
+            words.append(word)
+            rows.append(list(map(float, values)))
+        vectors = np.asarray(rows, dtype=float).reshape(n, dim)
     except (IndexError, ValueError) as e:
-        raise SgnsError(f"{path}: malformed embedding file ({e})") from e
-    if vectors.shape != (n, dim):
-        raise SgnsError(f"{path}: expected {n}x{dim} embeddings, got {vectors.shape}")
+        raise SgnsError(f"{path}: line {i}: malformed embedding file ({e})") from e
     if not np.isfinite(vectors).all():
         raise SgnsError(f"{path}: embedding file holds NaN or infinite values")
     return EmbeddingMatrix(vectors, words)
+
+
+def check_vocabulary(emb: EmbeddingMatrix, corpus: Corpus) -> None:
+    """Raise SgnsError unless the embedding rows are the corpus words, in corpus order."""
+    if emb.words != corpus.vocabulary.words:
+        raise SgnsError(f"embedding vocabulary of {len(emb.words)} words does not match the "
+                        f"corpus vocabulary of {corpus.vocab_size}")

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import time
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +35,6 @@ class TrainConfig:
     kl_anneal_epochs: int = 0  # 0 disables annealing
     seed: int = 0
     freeze_word_emb: bool = False
-    pretrained_path: str | None = None
 
     def __post_init__(self):
         if self.model_kind not in ("etm", "modified"):
@@ -55,7 +52,6 @@ class TrainConfig:
 class TrainReport:
     epoch_elbo: list[float] = field(default_factory=list)  # mean per document
     wall_time: float = 0.0
-    checkpoint_path: str | None = None
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -132,7 +128,8 @@ def _global_norm(grads: dict[str, np.ndarray], epoch: int):
     """The gradients' global L2 norm: infinite also when finite blocks' squares overflow.
     The blocks are scanned only when it is not finite, and a block holding NaN or an
     infinity raises TrainingError by name."""
-    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    with np.errstate(over="ignore"):  # an overflowing square is the infinite norm
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not np.isfinite(norm):
         for name, g in grads.items():
             if not np.isfinite(g).all():
@@ -161,30 +158,28 @@ def _step(params: model.ModelParams, opt: Adam, docs, ids, seed: int, kl_weight:
 
 
 def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
-        checkpoint_path=None) -> tuple[model.ModelParams, TrainReport]:
-    """Train an ETM variant by minibatched ELBO ascent; deterministic given the seed."""
+        embeddings: sgns.EmbeddingMatrix | None = None) -> tuple[model.ModelParams, TrainReport]:
+    """Train an ETM variant by minibatched ELBO ascent; deterministic given the seed. The
+    word embedding table starts from `embeddings` when given, else at random."""
     if config.model_kind == "modified" and cluster_model is None:
         raise TrainingError("modified model requires a cluster model (--clusters)")
 
-    word_emb = None
-    if config.pretrained_path:
-        emb = sgns.load_embeddings(config.pretrained_path)
-        if emb.words != corpus.vocabulary.words:
-            raise TrainingError("pretrained embedding vocabulary does not match the corpus")
-        if emb.dim != config.emb_dim:
-            raise TrainingError(f"pretrained dim {emb.dim} != configured emb_dim {config.emb_dim}")
-        word_emb = emb.vectors
-
     kw = {}
+    if embeddings is not None:
+        sgns.check_vocabulary(embeddings, corpus)
+        if embeddings.dim != config.emb_dim:
+            raise TrainingError(f"pretrained dim {embeddings.dim} != configured emb_dim "
+                                f"{config.emb_dim}")
+        kw["word_emb"] = embeddings.vectors
     if config.model_kind == "modified":
-        kw = dict(centres=cluster_model.centres,
+        kw.update(centres=cluster_model.centres,
                   log_g0=np.log(corpus.g0, out=np.full_like(corpus.g0, -np.inf),
                                 where=corpus.g0 > 0),  # an unused word: -inf, no warning
                   assignment=cluster_model.assignment)
     params = model.init_params(
         config.model_kind, corpus.vocab_size, config.n_topics, config.emb_dim,
         corpus.n_docs, hidden=config.hidden, seed=config.seed,
-        word_emb=word_emb, freeze_word_emb=config.freeze_word_emb, **kw)
+        freeze_word_emb=config.freeze_word_emb, **kw)
 
     rng = np.random.default_rng(config.seed + 1)
     batch = min(config.batch_size, corpus.n_docs)
@@ -197,13 +192,11 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
         order = rng.permutation(corpus.n_docs)
         epoch_elbo = 0.0
         clipped = 0
+        kl_w = min(1.0, (epoch + 1) / config.kl_anneal_epochs) if config.kl_anneal_epochs else 1.0
         for start in range(0, corpus.n_docs, batch):
             ids = order[start : start + batch]
             docs = [corpus.documents[d] for d in ids]
             step_seed += 1
-            kl_w = 1.0
-            if config.kl_anneal_epochs:
-                kl_w = min(1.0, (epoch + 1) / config.kl_anneal_epochs)
             value, was_clipped = _step(params, opt, docs, ids, step_seed, kl_w, epoch)
             clipped += was_clipped
             epoch_elbo += value
@@ -213,44 +206,32 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
             report.warnings.append(f"epoch {epoch}: gradient clipped at {clipped} of {n_steps} steps")
 
     report.wall_time = time.monotonic() - t0
-    if checkpoint_path is not None:
-        model.save_checkpoint(params, checkpoint_path)
-        report.checkpoint_path = str(checkpoint_path)
     return params, report
 
 
 def run_experiment(corpus: Corpus, configs: list[dict], cluster_model: ClusterModel | None = None,
-                   n_top: int = metrics.N_TOP, out_dir=None) -> list[dict]:
+                   n_top: int = metrics.N_TOP) -> list[dict]:
     """Train and evaluate each requested variant; one result row per config.
 
     Each config dict needs `model` in {"lda", "etm", "modified"} plus keyword
     overrides for TrainConfig (neural) or fit_lda (LDA).
     """
     rows = []
-    for i, spec in enumerate(configs):
+    for spec in configs:
         spec = dict(spec)
         kind = spec.pop("model")
         label = spec.pop("label", kind)
-        ckpt = Path(out_dir) / f"run{i}_{kind}.ckpt" if out_dir is not None else None
-
         if kind == "lda":
             state = lda_baseline.fit_lda(corpus, spec.pop("n_topics", TrainConfig.n_topics), **spec)
-            beta_tw = lda_baseline.lda_topic_word(state)
-            tops = metrics.top_words_from_matrix(beta_tw, n_top)
+            topic_word = lda_baseline.lda_topic_word(state)
         elif kind in ("etm", "modified"):
-            config = TrainConfig(model_kind=kind, **spec)
-            params, _ = fit(corpus, cluster_model, config, checkpoint_path=ckpt)
-            log_beta = model.log_topic_word_matrix(params)
-            tops = metrics.top_words_from_matrix(np.exp(log_beta), n_top)
+            params, _ = fit(corpus, cluster_model, TrainConfig(model_kind=kind, **spec))
+            topic_word = np.exp(model.log_topic_word_matrix(params))
         else:
             raise TrainingError(f"unknown model kind {kind!r}")
-
+        tops = metrics.top_words_from_matrix(topic_word, n_top)
         rep = metrics.evaluate_topics(corpus, tops, n_top)
-        row = {"label": label, "model": kind, "tc": rep.tc, "wswf": rep.wswf,
-               "per_topic_tc": rep.per_topic_tc, "per_topic_wswf": rep.per_topic_wswf}
-        if ckpt is not None and ckpt.exists():
-            row["checkpoint"] = str(ckpt)
-            row["checkpoint_sha256"] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
-        rows.append(row)
+        rows.append({"label": label, "model": kind, "tc": rep.tc, "wswf": rep.wswf,
+                     "per_topic_tc": rep.per_topic_tc, "per_topic_wswf": rep.per_topic_wswf})
         logger.info("experiment %s: TC=%.4f WSWF=%.4f", label, rep.tc, rep.wswf)
     return rows

@@ -286,7 +286,8 @@ def test_criterion_8_determinism(tmp_path):
         config = TrainConfig(model_kind="modified", n_topics=3, emb_dim=6,
                              hidden=8, epochs=3, batch_size=16,
                              learning_rate=1e-3, seed=9)
-        _, report = fit(corpus, clusters, config, checkpoint_path=path)
+        params, report = fit(corpus, clusters, config)
+        model.save_checkpoint(params, path)
         blobs.append(path.read_bytes())
         reports.append(report.to_json())
     ok = blobs[0] == blobs[1] and reports[0] == reports[1]

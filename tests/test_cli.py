@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from clustertm import cli, training
+from clustertm import cli, model, training
 from clustertm.corpus import PreprocessOptions, load_corpus
 from clustertm.manifest import sha256_file
 from clustertm.sgns import SgnsConfig
@@ -63,6 +63,36 @@ def test_cluster_rejects_embeddings_with_nan(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: SgnsError") and "NaN" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("embedded", [list("xyz"), list("abcd")], ids=["same-size", "other-size"])
+def test_cluster_rejects_embeddings_of_another_vocabulary(tmp_path, capsys, embedded):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"vocab": list("abc"), "docs": [[0, 1], [1, 2], [0, 2]]}),
+                      "utf-8")
+    emb = tmp_path / "emb.txt"
+    rows = "".join(f"{w} 0.{i} 0.5\n" for i, w in enumerate(embedded))
+    emb.write_text(f"{len(embedded)} 2\n{rows}", "utf-8")
+    out = tmp_path / "clusters.json"
+    assert run(["cluster", corpus, out, "--embeddings", emb, "--k", 2]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SgnsError: embedding vocabulary")
+    assert not out.exists()
+
+
+def test_train_failing_inside_fit_leaves_no_checkpoint(texts_dir, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(model, "elbo_and_grad", explode)
+    out = tmp_path / "model.ckpt"
+    assert run(["train", corpus, out, "--model", "etm", "--topics", 2,
+                "--config", write_config(tmp_path, epochs=1, emb_dim=4, hidden=8)]) == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_preprocess_writes_corpus_and_manifest(texts_dir, tmp_path):

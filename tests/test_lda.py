@@ -4,6 +4,7 @@ from math import lgamma
 import numpy as np
 import pytest
 
+from clustertm import lda_baseline
 from clustertm.lda_baseline import LdaError, fit_lda, lda_topic_word
 from conftest import make_corpus
 from lda_reference import check_consistency, reference_fit_lda
@@ -28,8 +29,9 @@ def exact_posterior_two_tokens(alpha, beta, n_vocab=2, n_topics=2):
     return {z: w / total for z, w in weights.items()}
 
 
-def test_gibbs_chain_matches_exact_enumeration():
+def test_gibbs_chain_matches_exact_enumeration(monkeypatch):
     alpha, beta = 0.7, 0.4
+    monkeypatch.setattr(lda_baseline, "BETA", beta)
     corpus = make_corpus([[0, 1]], words=["a", "b"])
     counts = {z: 0 for z in itertools.product(range(2), repeat=2)}
 
@@ -37,7 +39,7 @@ def test_gibbs_chain_matches_exact_enumeration():
         counts[(int(z[0][0]), int(z[0][1]))] += 1
 
     n_sweeps = 100_000
-    fit_lda(corpus, 2, alpha=alpha, beta=beta, sweeps=n_sweeps, seed=5,
+    fit_lda(corpus, 2, alpha=alpha, sweeps=n_sweeps, seed=5,
             on_sweep=record)
     exact = exact_posterior_two_tokens(alpha, beta)
     tv = 0.5 * sum(abs(counts[z] / n_sweeps - exact[z]) for z in exact)
@@ -101,8 +103,8 @@ def test_rejects_bad_topic_count():
             fit_lda(make_corpus([[0]]), n_topics)
 
 
-@pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"alpha": -1.0}, {"alpha": float("nan")},
-                                    {"beta": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5},
+@pytest.mark.parametrize("kwargs", [{"alpha": 0.0}, {"alpha": -1.0}, {"alpha": float("nan")},
+                                    {"alpha": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5},
                                     {"sweeps": True}, {"sweeps": False}])
 def test_rejects_bad_hyperparameters(kwargs):
     with pytest.raises(LdaError):
@@ -118,9 +120,10 @@ def test_topic_word_uniform_when_counts_zero():
     assert np.allclose(phi, 1.0 / 3, atol=1e-12)
 
 
-def test_topic_word_hand_computed_2x2():
+def test_topic_word_hand_computed_2x2(monkeypatch):
     corpus = make_corpus([[0, 1]], words=["a", "b"])
-    state = fit_lda(corpus, 2, beta=0.5, sweeps=1, seed=0)
+    monkeypatch.setattr(lda_baseline, "BETA", 0.5)
+    state = fit_lda(corpus, 2, sweeps=1, seed=0)
     state.n_tv[:] = [[3.0, 1.0], [0.0, 2.0]]
     state.n_t[:] = [4.0, 2.0]
     phi = lda_topic_word(state)

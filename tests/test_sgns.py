@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_load_embeddings_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "emb.txt"
     path.write_text(text, "utf-8")
     with pytest.raises(SgnsError, match=str(path)):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1 2\na 1 2 9\n", 2), ("2 2\na 1 2\nb 3 4 9\n", 3), ("1 2\na 1 2\nb 3 4\n", 3),
+    ("1 2\na 1 2 9\nb 3 4\n", 3), ("2 2\na 1 2\n", 3), ("1 2\n", 2)],
+    ids=["extra-value", "extra-value-last-row", "extra-row", "extra-value-and-row",
+         "missing-row", "no-rows"])
+def test_load_embeddings_names_the_line_of_an_extra_value_or_row_or_a_missing_row(
+        tmp_path, text, line):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, "utf-8")
+    with pytest.raises(SgnsError, match=re.escape(f"{path}: line {line}:")):
         load_embeddings(path)
 
 

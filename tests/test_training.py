@@ -1,3 +1,5 @@
+import builtins
+import io
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 from clustertm import model, training
 from clustertm.cluster import cluster_corpus
 from clustertm.corpus import Document
+from clustertm.sgns import EmbeddingMatrix, SgnsError
 from clustertm.training import Adam, TrainConfig, TrainingError, fit, run_experiment
 from conftest import make_corpus, make_planted
 
@@ -79,7 +82,8 @@ def test_fit_deterministic_checkpoints(tmp_path):
     paths = []
     for name in ("a", "b"):
         path = tmp_path / f"{name}.ckpt"
-        fit(corpus, cl, small_config(model_kind="modified"), checkpoint_path=path)
+        params, _ = fit(corpus, cl, small_config(model_kind="modified"))
+        model.save_checkpoint(params, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -88,23 +92,39 @@ def test_fit_different_seeds_differ(tmp_path):
     corpus = small_corpus()
     a = tmp_path / "a.ckpt"
     b = tmp_path / "b.ckpt"
-    fit(corpus, None, small_config(seed=1), checkpoint_path=a)
-    fit(corpus, None, small_config(seed=2), checkpoint_path=b)
+    model.save_checkpoint(fit(corpus, None, small_config(seed=1))[0], a)
+    model.save_checkpoint(fit(corpus, None, small_config(seed=2))[0], b)
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_pretrained_embedding_mismatch_rejected(tmp_path):
-    from clustertm.sgns import EmbeddingMatrix, save_embeddings
+def test_pretrained_embedding_mismatch_rejected():
     corpus = small_corpus()
-    path = tmp_path / "emb.txt"
-    save_embeddings(EmbeddingMatrix(np.zeros((corpus.vocab_size, 8)),
-                                    list(corpus.vocabulary.words)), path)
+    emb = EmbeddingMatrix(np.zeros((corpus.vocab_size, 8)), list(corpus.vocabulary.words))
     with pytest.raises(TrainingError):
-        fit(corpus, None, small_config(emb_dim=16, pretrained_path=str(path)))
-    bad_vocab = tmp_path / "bad.txt"
-    save_embeddings(EmbeddingMatrix(np.zeros((2, 8)), ["x", "y"]), bad_vocab)
-    with pytest.raises(TrainingError):
-        fit(corpus, None, small_config(emb_dim=8, pretrained_path=str(bad_vocab)))
+        fit(corpus, None, small_config(emb_dim=16), embeddings=emb)
+    bad_vocab = EmbeddingMatrix(np.zeros((2, 8)), ["x", "y"])
+    with pytest.raises(SgnsError, match="vocabulary"):
+        fit(corpus, None, small_config(emb_dim=8), embeddings=bad_vocab)
+
+
+def test_fit_and_run_experiment_open_no_file(monkeypatch):
+    corpus = small_corpus()
+    cl = cluster_corpus(corpus, 2, seed=0)
+    emb = EmbeddingMatrix(np.zeros((corpus.vocab_size, 6)), list(corpus.vocabulary.words))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the training layer opened a file")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    for name in ("open", "read_text", "read_bytes", "write_text", "write_bytes"):
+        monkeypatch.setattr(Path, name, refuse)
+    shared = dict(n_topics=2, emb_dim=6, hidden=8, epochs=1, batch_size=16, seed=1)
+    fit(corpus, cl, TrainConfig(model_kind="modified", **shared), embeddings=emb)
+    rows = run_experiment(corpus, [{"model": "lda", "n_topics": 2, "sweeps": 2},
+                                   {"model": "etm", **shared}, {"model": "modified", **shared}],
+                          cluster_model=cl, n_top=5)
+    assert [r["model"] for r in rows] == ["lda", "etm", "modified"]
 
 
 def zero_grads_like(blocks):
@@ -295,6 +315,17 @@ def test_step_clips_a_finite_gradient_whose_square_overflows_to_a_zero_step(monk
     assert not any(v.any() for v in opt.v.values())
 
 
+def test_step_on_a_gradient_whose_square_overflows_warns_nothing(monkeypatch):
+    def edit(grads):
+        grads["enc.W2"].flat[0] = 1e300
+
+    params, opt, docs = edited_step_inputs(monkeypatch, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, clipped = training._step(params, opt, docs, np.arange(6), 5, 1.0, 0)
+    assert clipped
+
+
 def test_clipped_steps_give_one_warning_per_epoch(monkeypatch):
     monkeypatch.setattr(training, "GRAD_CLIP", 1e-12)
     _, report = fit(small_corpus(), None, small_config(epochs=2, batch_size=4))
@@ -325,21 +356,7 @@ def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
         assert np.array_equal(after[name], expected), name
 
 
-def test_aborted_run_leaves_no_partial_checkpoint(tmp_path, monkeypatch):
-    corpus = small_corpus()
-    path = tmp_path / "out.ckpt"
-
-    def explode(*args, **kwargs):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(model, "elbo_and_grad", explode)
-    with pytest.raises(RuntimeError):
-        fit(corpus, None, small_config(), checkpoint_path=path)
-    assert not path.exists()
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_run_experiment_rows(tmp_path):
+def test_run_experiment_rows():
     corpus = small_corpus()
     cl = cluster_corpus(corpus, 2, seed=0)
     shared = dict(n_topics=2, emb_dim=6, hidden=8, epochs=2, batch_size=16,
@@ -349,16 +366,10 @@ def test_run_experiment_rows(tmp_path):
         [{"model": "lda", "n_topics": 2, "sweeps": 5, "seed": 1},
          {"model": "etm", **shared},
          {"model": "modified", **shared}],
-        cluster_model=cl, n_top=5, out_dir=tmp_path)
+        cluster_model=cl, n_top=5)
     assert [r["model"] for r in rows] == ["lda", "etm", "modified"]
     for row in rows:
         assert np.isfinite(row["tc"]) and np.isfinite(row["wswf"])
-        if "checkpoint" in row:
-            import hashlib
-            from pathlib import Path
-            data = Path(row["checkpoint"]).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == row["checkpoint_sha256"]
-    assert "checkpoint" in rows[1] and "checkpoint" in rows[2]
 
 
 def test_run_experiment_rejects_misspelt_lda_key():
