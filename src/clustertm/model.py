@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .corpus import Document, doc_term_matrix
 
@@ -27,16 +27,12 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-# scipy's logsumexp makes about six temporaries the size of its input, so the (nnz, #T)
-# joint goes through it in blocks of this many rows. Each row's value is unchanged.
-LSE_ROWS = 2048
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], LSE_ROWS):
-        out[start : start + LSE_ROWS] = logsumexp(a[start : start + LSE_ROWS], axis=1)
-    return out
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of each row of a 2-D array, shifted by the row max; one temporary."""
+    top = a.max(axis=1)
+    shifted = a - top[:, None]
+    np.exp(shifted, out=shifted)
+    return np.log(shifted.sum(axis=1)) + top
 
 
 @dataclass
@@ -154,7 +150,7 @@ def _topic_side(params: ModelParams):
     else:
         h1, e_t = _centre_network(params)
         logits = e_t @ params.word_emb.T + params.log_g0[None, :]
-    return logits - logsumexp(logits, axis=1, keepdims=True), e_t, h1
+    return logits - _logsumexp(logits)[:, None], e_t, h1
 
 
 def log_topic_word_matrix(params: ModelParams) -> np.ndarray:
@@ -240,10 +236,10 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     s1, z1, s2, z2, mean, log_s = _encoder(params, hist)
     s = np.exp(log_s)
     xtil = mean + s * eps
-    log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
+    log_theta = xtil - _logsumexp(xtil)[:, None]
     log_beta, e_t, h1 = _topic_side(params)
     log_joint = log_theta[rows] + log_beta[:, x.indices].T
-    log_p = _logsumexp_rows(log_joint)
+    log_p = _logsumexp(log_joint)
 
     m0 = np.zeros_like(mean)
     if params.kind == "modified":

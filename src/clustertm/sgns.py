@@ -193,7 +193,11 @@ def load_embeddings(path) -> EmbeddingMatrix:
 
 
 def check_vocabulary(emb: EmbeddingMatrix, corpus: Corpus) -> None:
-    """Raise SgnsError unless the embedding rows are the corpus words, in corpus order."""
+    """Raise SgnsError unless the embedding rows are the corpus words, in corpus order,
+    one row of `vectors` per word."""
     if emb.words != corpus.vocabulary.words:
         raise SgnsError(f"embedding vocabulary of {len(emb.words)} words does not match the "
                         f"corpus vocabulary of {corpus.vocab_size}")
+    if emb.vectors.ndim != 2 or emb.vectors.shape[0] != len(emb.words):
+        raise SgnsError(f"embedding vectors of shape {emb.vectors.shape} need one row for "
+                        f"each of {len(emb.words)} words")

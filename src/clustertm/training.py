@@ -87,9 +87,8 @@ class Adam:
         then block *= 1 - WEIGHT_DECAY if `decay`: one pass over the block.
 
         `block`, `m` and `v` must be C-contiguous: their flat views are written. A
-        gradient in another layout is copied into the block's layout first. It is
-        converted here, not where it is computed, because `_global_norm` sums
-        it in memory order. The model's gradients are all C-ordered, so none is copied.
+        gradient in another layout is copied into the block's layout first. The model's
+        gradients are all C-ordered, so none is copied.
         """
         if not all(a.flags.c_contiguous for a in (block, m, v)):
             raise TrainingError("Adam updates C-contiguous blocks and moments in place")
@@ -100,8 +99,7 @@ class Adam:
             sl = slice(start, start + ADAM_CHUNK)
             gc, mc, vc, bc = g[sl], m[sl], v[sl], block[sl]
             tmp, den = tmp_buf[: gc.size], den_buf[: gc.size]
-            if scale != 1.0:
-                gc *= scale
+            gc *= scale
             mc *= self.beta1
             mc += np.multiply(gc, 1 - self.beta1, out=tmp)
             vc *= self.beta2
@@ -125,11 +123,10 @@ GRAD_CLIP = 5.0
 
 
 def _global_norm(grads: dict[str, np.ndarray], epoch: int):
-    """The gradients' global L2 norm: infinite also when finite blocks' squares overflow.
-    The blocks are scanned only when it is not finite, and a block holding NaN or an
-    infinity raises TrainingError by name."""
-    with np.errstate(over="ignore"):  # an overflowing square is the infinite norm
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """The gradients' global L2 norm from one dot product per block, which overflows to
+    inf without a warning. The blocks are scanned only when it is not finite, and a
+    block holding NaN or an infinity raises TrainingError by name."""
+    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if not np.isfinite(norm):
         for name, g in grads.items():
             if not np.isfinite(g).all():
@@ -142,18 +139,17 @@ def _step(params: model.ModelParams, opt: Adam, docs, ids, seed: int, kl_weight:
     """One Adam step on a batch: its ELBO and whether the gradient was clipped. The
     gradients are freed on return, before the next batch's backward pass.
 
-    Each block is divided by the batch size, squared for the clip norm, then clipped,
-    stepped and decayed in Adam's single chunked pass. An infinite norm from finite
-    gradients clips them with scale 0: a zero step."""
+    The summed gradient is clipped when its norm exceeds GRAD_CLIP per document, a bound
+    on the batch mean. Adam's single chunked pass scales it to the mean, or to the clip,
+    then steps and decays. An infinite norm from finite gradients clips them with scale
+    0: a zero step."""
     value, grads = model.elbo_and_grad(params, docs, ids, seed, kl_weight=kl_weight)
     if not np.isfinite(value):
         raise TrainingError(f"non-finite ELBO at epoch {epoch}")
-    for g in grads.values():
-        g /= len(docs)
     norm = _global_norm(grads, epoch)
-    clipped = bool(norm > GRAD_CLIP)
-    opt.step(model.trainable_blocks(params), grads, GRAD_CLIP / norm if clipped else 1.0,
-             _DECAYED)
+    clipped = bool(norm > GRAD_CLIP * len(docs))
+    opt.step(model.trainable_blocks(params), grads,
+             GRAD_CLIP / norm if clipped else 1.0 / len(docs), _DECAYED)
     return value, clipped
 
 

@@ -4,19 +4,20 @@
 `model._forward` replaced, kept unchanged as the oracle for its arithmetic:
 a fresh array for every elementwise result, the pre-activations kept and
 their sigmoids taken in the backward pass, and every forward value held by
-the backward closure until it returns. `model.elbo_and_grad` must give the
-same ELBO and the same gradient bytes.
+the backward closure until it returns. It takes its log-sum-exp from the model
+(`model._logsumexp`, checked against scipy's on its own). `model.elbo_and_grad`
+must give the same ELBO and the same gradient bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from clustertm.corpus import doc_term_matrix
-from clustertm.model import (ModelParams, VariationalStats, _noise, _softplus, _topic_side,
-                             kl_to_prior, trainable_blocks)
+from clustertm.model import (ModelParams, VariationalStats, _logsumexp, _noise, _softplus,
+                             _topic_side, kl_to_prior, trainable_blocks)
 
 
 def reference_encoder(params: ModelParams, hist: sp.csr_matrix):
@@ -43,10 +44,10 @@ def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: 
     a1, z1, a2, z2, mean, log_s = reference_encoder(params, hist)
     s = np.exp(log_s)
     xtil = mean + s * eps
-    log_theta = xtil - logsumexp(xtil, axis=1, keepdims=True)
+    log_theta = xtil - _logsumexp(xtil)[:, None]
     log_beta, e_t, h1 = _topic_side(params)
     log_joint = log_theta[rows] + log_beta[:, x.indices].T
-    log_p = logsumexp(log_joint, axis=1)
+    log_p = _logsumexp(log_joint)
 
     m0 = np.zeros_like(mean)
     if params.kind == "modified":

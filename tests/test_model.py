@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 
 from clustertm import metrics, model
 from clustertm.corpus import Document, doc_term_matrix
@@ -383,13 +384,22 @@ def perturbed(params, seed):
     return params
 
 
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(35)
+    rows = [rng.normal(scale=5.0, size=(50, 20)),
+            np.where(rng.random((50, 20)) < 0.3, -np.inf, rng.normal(size=(50, 20))),
+            np.array([[0.0, -40.0, -80.0, -745.0], [1e3, 0.0, -1e3, 0.0]]),
+            rng.uniform(-710.0, -690.0, size=(20, 8)), rng.uniform(690.0, 710.0, size=(20, 8))]
+    for a in rows:
+        got, want = model._logsumexp(a), scipy.special.logsumexp(a, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("kl_weight", [0.5, 1.0])
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("kind", ["etm", "modified"])
-def test_elbo_and_grad_bit_identical_to_reference(kind, freeze, kl_weight, monkeypatch):
-    # the in-place forward and backward pass against the one it replaced, on a
-    # (nnz, #T) joint that spans several blocks of `_logsumexp_rows`
-    monkeypatch.setattr(model, "LSE_ROWS", 64)
+def test_elbo_and_grad_bit_identical_to_reference(kind, freeze, kl_weight):
+    # the in-place forward and backward pass against the one it replaced
     shape = dict(n_vocab=90, n_topics=6, emb_dim=8, hidden=48, n_docs=40, seed=31)
     p = etm_params(**shape) if kind == "etm" else modified_params(**shape)
     p = perturbed(dataclasses.replace(p, freeze_word_emb=freeze), seed=32)

@@ -242,3 +242,14 @@ def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(SgnsError) as err:
         SgnsConfig(**{field: value})
     assert field in str(err.value) and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("vectors", [np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(3),
+                                     np.zeros((3, 4, 1))])
+def test_check_vocabulary_rejects_vectors_without_one_row_per_word(vectors):
+    # a row-count mismatch once surfaced as numpy's "matmul: dimension mismatch"
+    # inside vectorize_documents
+    corpus = make_corpus([[0, 1, 2]], words=["a", "b", "c"])
+    emb = EmbeddingMatrix(vectors, ["a", "b", "c"])
+    with pytest.raises(SgnsError, match="one row for each of 3 words"):
+        sgns.check_vocabulary(emb, corpus)
