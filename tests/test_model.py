@@ -386,11 +386,11 @@ def perturbed(params, seed):
 
 def test_logsumexp_matches_scipy():
     rng = np.random.default_rng(35)
-    rows = [rng.normal(scale=5.0, size=(50, 20)),
-            np.where(rng.random((50, 20)) < 0.3, -np.inf, rng.normal(size=(50, 20))),
-            np.array([[0.0, -40.0, -80.0, -745.0], [1e3, 0.0, -1e3, 0.0]]),
-            rng.uniform(-710.0, -690.0, size=(20, 8)), rng.uniform(690.0, 710.0, size=(20, 8))]
-    for a in rows:
+    cases = [rng.normal(scale=5.0, size=(50, 20)),
+             np.where(rng.random((50, 20)) < 0.3, -np.inf, rng.normal(size=(50, 20))),
+             np.array([[0.0, -40.0, -80.0, -745.0], [1e3, 0.0, -1e3, 0.0]]),
+             rng.uniform(-710.0, -690.0, size=(20, 8)), rng.uniform(690.0, 710.0, size=(20, 8))]
+    for a in cases:
         got, want = model._logsumexp(a), scipy.special.logsumexp(a, axis=1)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 

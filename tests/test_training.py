@@ -328,6 +328,22 @@ def test_step_clips_a_finite_gradient_whose_square_overflows_to_a_zero_step(monk
     assert not any(v.any() for v in opt.v.values())
 
 
+@pytest.mark.parametrize("mean_norm", [0.99 * training.GRAD_CLIP, 1.01 * training.GRAD_CLIP])
+def test_step_clips_on_the_norm_of_the_batch_mean_gradient(monkeypatch, mean_norm):
+    # the gradients are sums over the batch's 6 documents; Adam's first moment
+    # shows the step's gradient, the mean (or the clip of it) times 1 - beta1
+    def edit(grads):
+        for g in grads.values():
+            g[...] = 0.0
+        grads["enc.W2"].flat[0] = 6 * mean_norm
+
+    params, opt, docs = edited_step_inputs(monkeypatch, edit)
+    _, clipped = training._step(params, opt, docs, np.arange(6), 5, 1.0, 0)
+    assert clipped == (mean_norm > training.GRAD_CLIP)
+    step_grad = min(mean_norm, training.GRAD_CLIP)
+    assert opt.m["enc.W2"].flat[0] == pytest.approx((1 - Adam.beta1) * step_grad, rel=1e-14)
+
+
 def test_step_on_a_gradient_whose_square_overflows_warns_nothing(monkeypatch):
     def edit(grads):
         grads["enc.W2"].flat[0] = 1e300
