@@ -18,4 +18,4 @@ from .metrics import (  # noqa: F401
     MetricsReport, cooccurrence_stats, evaluate_topics, npmi,
     per_topic_scatter, top_words_from_matrix, topic_coherence, wswf,
 )
-from .training import TrainConfig, TrainReport, fit, run_experiment  # noqa: F401
+from .training import TrainConfig, TrainReport, fit  # noqa: F401

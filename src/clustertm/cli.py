@@ -24,7 +24,11 @@ def _load_config_file(path) -> dict:
         except ImportError as e:  # python < 3.11
             raise training.TrainingError("TOML configs need Python >= 3.11; use JSON") from e
         return tomllib.loads(text)
-    return json.loads(text)
+    settings = json.loads(text)
+    if not isinstance(settings, dict):
+        raise training.TrainingError(f"{path}: a config file holds an object of settings, "
+                                     f"got {type(settings).__name__}")
+    return settings
 
 
 def _typed(**flags) -> dict:

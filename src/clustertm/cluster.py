@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
+from .corpus import Corpus, check_seed
 from .sgns import EmbeddingMatrix, check_vocabulary
 
 logger = logging.getLogger(__name__)
@@ -232,6 +232,7 @@ def kmeans(points, k: int, seed: int = 0, n_restarts: int = 10,
         raise ClusterError(f"k={k} exceeds number of points {n}")
     if n_restarts < 1:
         raise ClusterError(f"n_restarts must be >= 1, got {n_restarts!r}")
+    check_seed(seed, ClusterError)
 
     order, group = _row_order(points)
     points, sq = points[order], sq[order]

@@ -24,6 +24,17 @@ class CorpusError(Exception):
     pass
 
 
+def is_int(x) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_seed(seed, error: type[Exception]) -> None:
+    """Raise `error`, naming the seed, unless it is an integer >= 0."""
+    if not (is_int(seed) and seed >= 0):
+        raise error(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _word_lines(text: str) -> set[str]:
     return {line.strip() for line in text.splitlines() if line.strip()}
 

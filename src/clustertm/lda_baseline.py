@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, check_seed, is_int
 
 SWEEPS = 1000  # Gibbs sweeps when the caller names none
 BETA = 0.01  # symmetric topic-word prior
@@ -45,14 +45,15 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: i
     token taken in token order: the running sum adds in `cumsum`'s order and
     `rng.random(n)` yields the doubles of n calls to `rng.random()`.
     """
-    if not (_is_int(n_topics) and n_topics >= 1):
+    if not (is_int(n_topics) and n_topics >= 1):
         raise LdaError(f"n_topics must be an integer >= 1, got {n_topics!r}")
     if alpha is None:
         alpha = 50.0 / n_topics
-    if not (_is_int(sweeps) and sweeps >= 0):
+    if not (is_int(sweeps) and sweeps >= 0):
         raise LdaError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     if not 0 < alpha < np.inf:  # also rejects NaN
         raise LdaError(f"alpha must be finite and > 0, got {alpha!r}")
+    check_seed(seed, LdaError)
     alpha, beta = float(alpha), BETA  # Python floats keep numpy scalars out of the loop
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs
@@ -104,10 +105,6 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: i
     n_dt[:] = doc_topic
     n_t[:] = topic_total
     return LdaState(z, n_tv, n_dt, n_t, alpha, beta)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _copy_into(z: list[np.ndarray], z_lists: list[list[int]]) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,9 +80,7 @@ def topic_coherence(corpus: Corpus, top_word_ids: list[list[int]],
     """Mean NPMI over ordered pairs of distinct top-word positions, per topic and averaged."""
     if n_top < 2:
         raise MetricsError("topic coherence needs at least two top words")
-    for t, words in enumerate(top_word_ids):
-        if len(words) < n_top:
-            raise MetricsError(f"topic {t} has {len(words)} top words, fewer than n_top={n_top}")
+    _check_topic_sizes(top_word_ids, n_top)
     ids = np.array([list(words)[:n_top] for words in top_word_ids], dtype=np.int64)
     union, local = np.unique(ids, return_inverse=True)  # one count serves every topic
     p_u, p_uv = cooccurrence_stats(corpus, union)
@@ -100,15 +97,23 @@ def wswf(g0: np.ndarray, top_words: list[list[tuple[int, float]]],
 
     The probabilities are the model's, not renormalized over the top-n set.
     """
-    per_topic = []
-    for pairs in top_words:
-        total = 0.0
-        for v, p in pairs[:n_top]:
-            if g0[v] <= 0:
-                raise MetricsError(f"word id {v} has zero background frequency")
-            total += p * math.log(g0[v])
-        per_topic.append(total)
-    return per_topic, float(np.mean(per_topic))
+    _check_topic_sizes(top_words, n_top)
+    shape = (len(top_words), n_top)
+    ids = np.array([[v for v, _ in pairs[:n_top]] for pairs in top_words], np.int64).reshape(shape)
+    probs = np.array([[p for _, p in pairs[:n_top]] for pairs in top_words], float).reshape(shape)
+    g = g0[ids]
+    zero = np.argwhere(g <= 0)
+    if len(zero):
+        t, i = zero[0]
+        raise MetricsError(f"topic {t}: word id {ids[t, i]} has zero background frequency")
+    per_topic = (probs * np.log(g)).sum(axis=1)
+    return per_topic.tolist(), float(np.mean(per_topic))
+
+
+def _check_topic_sizes(topics, n_top: int) -> None:
+    for t, words in enumerate(topics):
+        if len(words) < n_top:
+            raise MetricsError(f"topic {t} has {len(words)} top words, fewer than n_top={n_top}")
 
 
 def evaluate_topics(corpus: Corpus, top_words: list[list[tuple[int, float]]],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, check_seed
 
 
 class SgnsError(Exception):
@@ -103,6 +103,7 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
         raise SgnsError("embedding dimension must be >= 1")
     if not corpus.documents:
         raise SgnsError("empty corpus")
+    check_seed(seed, SgnsError)
 
     rng = np.random.default_rng(seed)
     n_v = corpus.vocab_size

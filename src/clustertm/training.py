@@ -1,19 +1,17 @@
-"""Minibatched ELBO ascent with Adam, plus the multi-model experiment driver."""
+"""Minibatched ELBO ascent with Adam."""
 
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import lda_baseline, metrics, model, sgns
+from . import model, sgns
 from .cluster import ClusterModel
-from .corpus import Corpus
+from .corpus import Corpus, is_int
 
-logger = logging.getLogger(__name__)
 # Adam updates a block in flat chunks of this many elements, so that its passes over
 # the block, the gradient, both moments and two temporaries stay in cache.
 ADAM_CHUNK = 1 << 14
@@ -39,13 +37,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.model_kind not in ("etm", "modified"):
             raise TrainingError(f"unknown model kind {self.model_kind!r}")
-        for name in ("n_topics", "emb_dim", "hidden", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise TrainingError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.kl_anneal_epochs < 0:
-            raise TrainingError(f"kl_anneal_epochs must be >= 0, got {self.kl_anneal_epochs!r}")
-        if not 0 < self.learning_rate < np.inf:  # also rejects NaN
-            raise TrainingError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        for name, low in (("n_topics", 1), ("emb_dim", 1), ("hidden", 1), ("epochs", 1),
+                          ("batch_size", 1), ("kl_anneal_epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= low):
+                raise TrainingError(f"{name} must be an integer >= {low}, got {value!r}")
+        lr = self.learning_rate
+        if not (isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
+                and 0 < lr < np.inf):  # also rejects NaN
+            raise TrainingError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        if not isinstance(self.freeze_word_emb, (bool, np.bool_)):
+            raise TrainingError(f"freeze_word_emb must be true or false, got {self.freeze_word_emb!r}")
 
 
 @dataclass
@@ -203,31 +205,3 @@ def fit(corpus: Corpus, cluster_model: ClusterModel | None, config: TrainConfig,
 
     report.wall_time = time.monotonic() - t0
     return params, report
-
-
-def run_experiment(corpus: Corpus, configs: list[dict], cluster_model: ClusterModel | None = None,
-                   n_top: int = metrics.N_TOP) -> list[dict]:
-    """Train and evaluate each requested variant; one result row per config.
-
-    Each config dict needs `model` in {"lda", "etm", "modified"} plus keyword
-    overrides for TrainConfig (neural) or fit_lda (LDA).
-    """
-    rows = []
-    for spec in configs:
-        spec = dict(spec)
-        kind = spec.pop("model")
-        label = spec.pop("label", kind)
-        if kind == "lda":
-            state = lda_baseline.fit_lda(corpus, spec.pop("n_topics", TrainConfig.n_topics), **spec)
-            topic_word = lda_baseline.lda_topic_word(state)
-        elif kind in ("etm", "modified"):
-            params, _ = fit(corpus, cluster_model, TrainConfig(model_kind=kind, **spec))
-            topic_word = np.exp(model.log_topic_word_matrix(params))
-        else:
-            raise TrainingError(f"unknown model kind {kind!r}")
-        tops = metrics.top_words_from_matrix(topic_word, n_top)
-        rep = metrics.evaluate_topics(corpus, tops, n_top)
-        rows.append({"label": label, "model": kind, "tc": rep.tc, "wswf": rep.wswf,
-                     "per_topic_tc": rep.per_topic_tc, "per_topic_wswf": rep.per_topic_wswf})
-        logger.info("experiment %s: TC=%.4f WSWF=%.4f", label, rep.tc, rep.wswf)
-    return rows

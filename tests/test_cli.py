@@ -313,6 +313,40 @@ def test_pretrain_rejects_out_of_range_options(texts_dir, tmp_path, capsys, opti
     assert not out.exists()
 
 
+SMALL_ETM = {"epochs": 1, "emb_dim": 4, "hidden": 8}
+
+
+@pytest.mark.parametrize("command, config, named", [
+    (["pretrain", "--dim", 4, "--seed", -1], None, "SgnsError: seed must be"),
+    (["cluster", "--k", 2, "--seed", -1], None, "ClusterError: seed must be"),
+    (["train", "--model", "etm", "--seed", -2], SMALL_ETM, "TrainingError: seed must be"),
+    (["train", "--model", "lda", "--seed", -2], {"sweeps": 1}, "LdaError: seed must be"),
+    (["train", "--model", "etm"], {**SMALL_ETM, "n_topics": 2.5}, "n_topics must be"),
+    (["train", "--model", "etm"], {**SMALL_ETM, "epochs": 1.5}, "epochs must be"),
+    (["train", "--model", "etm"], {**SMALL_ETM, "learning_rate": "0.1"}, "learning_rate must be"),
+    (["train", "--model", "etm"], {**SMALL_ETM, "seed": 1.5}, "seed must be"),
+    (["train", "--model", "lda"], {"sweeps": 1, "seed": 1.5}, "seed must be"),
+    (["train", "--model", "etm"], {**SMALL_ETM, "freeze_word_emb": "false"},
+     "freeze_word_emb must be"),
+    (["train", "--model", "etm"], [SMALL_ETM], "config.json: a config file holds an object"),
+], ids=["pretrain-seed", "cluster-seed", "etm-seed", "lda-seed", "n_topics", "epochs",
+        "learning_rate", "etm-config-seed", "lda-config-seed", "freeze_word_emb", "config-list"])
+def test_settings_fail_by_name(texts_dir, tmp_path, capsys, command, config, named):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    name, *flags = command
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), "utf-8")
+        flags += ["--config", path]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([name, corpus, out, *flags]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert not out.exists()
+
+
 def read_manifest(artifact):
     return json.loads(Path(str(artifact) + ".manifest.json").read_text("utf-8"))
 

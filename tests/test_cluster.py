@@ -75,6 +75,12 @@ def test_kmeans_rejects_bad_k():
         kmeans(points, 2, n_restarts=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_kmeans_rejects_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ClusterError, match="^seed must be an integer >= 0, got .+$"):
+        kmeans(np.eye(3), 2, seed=seed)
+
+
 def test_kmeans_matches_brute_force_on_tiny_instances():
     rng = np.random.default_rng(9)
     for trial in range(8):

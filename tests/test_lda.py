@@ -105,9 +105,11 @@ def test_rejects_bad_topic_count():
 
 @pytest.mark.parametrize("kwargs", [{"alpha": 0.0}, {"alpha": -1.0}, {"alpha": float("nan")},
                                     {"alpha": float("inf")}, {"sweeps": -1}, {"sweeps": 2.5},
-                                    {"sweeps": True}, {"sweeps": False}])
+                                    {"sweeps": True}, {"sweeps": False}, {"seed": -1},
+                                    {"seed": 1.5}, {"seed": True}, {"seed": "0"}, {"seed": None}])
 def test_rejects_bad_hyperparameters(kwargs):
-    with pytest.raises(LdaError):
+    (name,) = kwargs
+    with pytest.raises(LdaError, match=f"^{name} must be "):
         fit_lda(make_corpus([[0, 1], [1]]), 2, **kwargs)
 
 

@@ -187,6 +187,20 @@ def test_wswf_is_mean_over_topics_and_not_renormalized():
     assert abs(value - (t0 + t1) / 2) < 1e-12
 
 
+def test_wswf_names_the_topic_and_word_of_zero_background_frequency():
+    g0 = np.array([0.5, 0.0, 0.5])
+    tops = [[(0, 0.5), (2, 0.3)], [(2, 0.4), (1, 0.2)]]
+    with pytest.raises(metrics.MetricsError,
+                       match="^topic 1: word id 1 has zero background frequency$"):
+        metrics.wswf(g0, tops, 2)
+
+
+def test_wswf_rejects_a_topic_with_fewer_than_n_top_words():
+    g0 = np.array([0.5, 0.25, 0.25])
+    with pytest.raises(metrics.MetricsError, match="^topic 1 has 1 top words, fewer than n_top=2$"):
+        metrics.wswf(g0, [[(0, 0.4), (1, 0.1)], [(2, 0.2)]], 2)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_wswf_nonpositive_and_swap_monotone(data):

@@ -66,6 +66,12 @@ def test_pretrain_rejects_bad_config():
         pretrain(corpus, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_pretrain_rejects_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(SgnsError, match="^seed must be an integer >= 0, got .+$"):
+        pretrain(make_corpus([[0, 1]]), 2, SgnsConfig(epochs=1), seed=seed)
+
+
 def test_pretrain_output_shape_and_finite():
     corpus = make_corpus([[0, 1, 2, 0, 1], [2, 1, 0]])
     emb = pretrain(corpus, 7, SgnsConfig(epochs=2), seed=3)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clustertm import model, training
+from clustertm import metrics, model, training
 from clustertm.cluster import cluster_corpus
 from clustertm.corpus import Document
+from clustertm.lda_baseline import fit_lda, lda_topic_word
 from clustertm.sgns import EmbeddingMatrix, SgnsError
-from clustertm.training import Adam, TrainConfig, TrainingError, fit, run_experiment
+from clustertm.training import Adam, TrainConfig, TrainingError, fit
 from conftest import make_corpus, make_planted
 
 
@@ -29,14 +30,23 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
-@pytest.mark.parametrize("field, value", [("n_topics", 0), ("emb_dim", 0), ("hidden", 0),
-                                          ("kl_anneal_epochs", -5),
-                                          ("learning_rate", float("nan")),
-                                          ("learning_rate", float("inf"))])
+@pytest.mark.parametrize("field, value", [
+    ("n_topics", 0), ("emb_dim", 0), ("hidden", 0), ("kl_anneal_epochs", -5),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("n_topics", 2.5), ("emb_dim", True), ("hidden", "8"), ("epochs", 1.5), ("batch_size", 16.0),
+    ("kl_anneal_epochs", 1.5), ("seed", -1), ("seed", 1.5), ("seed", True),
+    ("learning_rate", "0.1"), ("learning_rate", True),
+    ("freeze_word_emb", "false"), ("freeze_word_emb", 0)])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(TrainingError) as err:
         small_config(**{field: value})
-    assert field in str(err.value) and "\n" not in str(err.value)
+    assert f"{field} must be" in str(err.value) and "\n" not in str(err.value)
+
+
+def test_config_accepts_numpy_scalars():
+    config = small_config(n_topics=np.int64(3), seed=np.int32(2), kl_anneal_epochs=np.uint8(0),
+                          learning_rate=np.float32(1e-3), freeze_word_emb=np.bool_(True))
+    assert config.n_topics == 3 and config.freeze_word_emb
 
 
 def test_config_validation():
@@ -107,7 +117,7 @@ def test_pretrained_embedding_mismatch_rejected():
         fit(corpus, None, small_config(emb_dim=8), embeddings=bad_vocab)
 
 
-def test_fit_and_run_experiment_open_no_file(monkeypatch):
+def test_fit_fit_lda_and_evaluate_topics_open_no_file(monkeypatch):
     corpus = small_corpus()
     cl = cluster_corpus(corpus, 2, seed=0)
     emb = EmbeddingMatrix(np.zeros((corpus.vocab_size, 6)), list(corpus.vocabulary.words))
@@ -120,11 +130,12 @@ def test_fit_and_run_experiment_open_no_file(monkeypatch):
     for name in ("open", "read_text", "read_bytes", "write_text", "write_bytes"):
         monkeypatch.setattr(Path, name, refuse)
     shared = dict(n_topics=2, emb_dim=6, hidden=8, epochs=1, batch_size=16, seed=1)
-    fit(corpus, cl, TrainConfig(model_kind="modified", **shared), embeddings=emb)
-    rows = run_experiment(corpus, [{"model": "lda", "n_topics": 2, "sweeps": 2},
-                                   {"model": "etm", **shared}, {"model": "modified", **shared}],
-                          cluster_model=cl, n_top=5)
-    assert [r["model"] for r in rows] == ["lda", "etm", "modified"]
+    params, _ = fit(corpus, cl, TrainConfig(model_kind="modified", **shared), embeddings=emb)
+    fit(corpus, None, TrainConfig(model_kind="etm", **shared))
+    for topic_word in (np.exp(model.log_topic_word_matrix(params)),
+                       lda_topic_word(fit_lda(corpus, 2, sweeps=2))):
+        report = metrics.evaluate_topics(corpus, metrics.top_words_from_matrix(topic_word, 5), 5)
+        assert np.isfinite(report.tc) and np.isfinite(report.wswf)
 
 
 def zero_grads_like(blocks):
@@ -383,33 +394,6 @@ def test_weight_decay_shrinks_encoder_weights_only(monkeypatch):
             for _ in range(4):
                 expected *= 1.0 - 1.2e-6
         assert np.array_equal(after[name], expected), name
-
-
-def test_run_experiment_rows():
-    corpus = small_corpus()
-    cl = cluster_corpus(corpus, 2, seed=0)
-    shared = dict(n_topics=2, emb_dim=6, hidden=8, epochs=2, batch_size=16,
-                  learning_rate=1e-3, seed=1)
-    rows = run_experiment(
-        corpus,
-        [{"model": "lda", "n_topics": 2, "sweeps": 5, "seed": 1},
-         {"model": "etm", **shared},
-         {"model": "modified", **shared}],
-        cluster_model=cl, n_top=5)
-    assert [r["model"] for r in rows] == ["lda", "etm", "modified"]
-    for row in rows:
-        assert np.isfinite(row["tc"]) and np.isfinite(row["wswf"])
-
-
-def test_run_experiment_rejects_misspelt_lda_key():
-    with pytest.raises(TypeError, match="sweep"):
-        run_experiment(small_corpus(), [{"model": "lda", "n_topics": 2, "sweep": 3}])
-
-
-def test_run_experiment_single_row():
-    rows = run_experiment(small_corpus(),
-                          [{"model": "lda", "n_topics": 2, "sweeps": 3}], n_top=4)
-    assert len(rows) == 1
 
 
 def test_benchmark_tracer_sees_every_training_step(monkeypatch):
