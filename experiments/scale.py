@@ -3,9 +3,10 @@
 Generates corpora of the benchmark's `wide-vocab` shape (20 planted topics of
 250 words each, flat Zipf, 10-30 tokens per document) with
 `bench/corpus_gen.generate`, and at each size times `preprocess`,
-`vectorize_documents` (TF-IDF), `kmeans` (k=20, 2 restarts) and one ETM epoch.
-`kmeans` and the ETM epoch each run twice: once timed, once under tracemalloc
-for the peak traced memory. `kmeans` runs twice more on the TF-IDF rows plus one unit-norm row that
+`vectorize_documents` (TF-IDF), `kmeans` (k=20, 2 restarts), one ETM epoch and
+one epoch of the modified model on that k-means (k = 20 topics). `kmeans` and
+each epoch run twice: once timed, once under tracemalloc for the peak traced
+memory. `kmeans` runs twice more on the TF-IDF rows plus one unit-norm row that
 holds every vocabulary word, the longest a document can be, so the cost of
 sorting rows with many non-zeros shows (`long_doc_*`). Prints one JSON
 object. `peak_rss_mb` is the process peak so far, so with ascending sizes it
@@ -17,6 +18,7 @@ is the peak up to and including that size.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import resource
 import sys
@@ -71,6 +73,8 @@ def measure(n_docs: int) -> dict:
     config = training.TrainConfig(model_kind="etm", n_topics=SHAPE["n_topics"], emb_dim=50,
                                   epochs=1, seed=0)
     _, epoch_s, epoch_peak = timed_and_traced(training.fit, docs, None, config)
+    _, modified_s, modified_peak = timed_and_traced(
+        training.fit, docs, km, dataclasses.replace(config, model_kind="modified"))
     nnz = docs.doc_term.nnz
     return {
         "docs": docs.n_docs, "vocab": docs.vocab_size,
@@ -81,6 +85,7 @@ def measure(n_docs: int) -> dict:
         "kmeans_inertia": km.inertia, "lloyd_passes": len(km.inertia_history),
         "long_doc_kmeans_s": long_s, "long_doc_kmeans_peak_mb": long_peak / 2**20,
         "etm_epoch_s": epoch_s, "etm_epoch_peak_mb": epoch_peak / 2**20,
+        "modified_epoch_s": modified_s, "modified_epoch_peak_mb": modified_peak / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

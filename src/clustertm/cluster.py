@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, check_seed
+from .corpus import Corpus, check_int
 from .sgns import EmbeddingMatrix, check_vocabulary
 
 logger = logging.getLogger(__name__)
@@ -226,13 +226,11 @@ def kmeans(points, k: int, seed: int = 0, n_restarts: int = 10,
     """
     points, sq = _checked_points(points)
     n = points.shape[0]
-    if k < 1:
-        raise ClusterError("k must be >= 1")
+    check_int(ClusterError, "k", k, 1)
     if k > n:
         raise ClusterError(f"k={k} exceeds number of points {n}")
-    if n_restarts < 1:
-        raise ClusterError(f"n_restarts must be >= 1, got {n_restarts!r}")
-    check_seed(seed, ClusterError)
+    check_int(ClusterError, "n_restarts", n_restarts, 1)
+    check_int(ClusterError, "seed", seed, 0)
 
     order, group = _row_order(points)
     points, sq = points[order], sq[order]

@@ -29,10 +29,10 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def check_seed(seed, error: type[Exception]) -> None:
-    """Raise `error`, naming the seed, unless it is an integer >= 0."""
-    if not (is_int(seed) and seed >= 0):
-        raise error(f"seed must be an integer >= 0, got {seed!r}")
+def check_int(error: type[Exception], name: str, value, low: int) -> None:
+    """Raise `error`, naming the setting, unless `value` is an integer >= `low`."""
+    if not (is_int(value) and value >= low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _word_lines(text: str) -> set[str]:

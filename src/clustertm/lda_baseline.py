@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, check_seed, is_int
+from .corpus import Corpus, check_int
 
 SWEEPS = 1000  # Gibbs sweeps when the caller names none
 BETA = 0.01  # symmetric topic-word prior
@@ -45,15 +45,13 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: i
     token taken in token order: the running sum adds in `cumsum`'s order and
     `rng.random(n)` yields the doubles of n calls to `rng.random()`.
     """
-    if not (is_int(n_topics) and n_topics >= 1):
-        raise LdaError(f"n_topics must be an integer >= 1, got {n_topics!r}")
+    check_int(LdaError, "n_topics", n_topics, 1)
     if alpha is None:
         alpha = 50.0 / n_topics
-    if not (is_int(sweeps) and sweeps >= 0):
-        raise LdaError(f"sweeps must be an integer >= 0, got {sweeps!r}")
+    check_int(LdaError, "sweeps", sweeps, 0)
     if not 0 < alpha < np.inf:  # also rejects NaN
         raise LdaError(f"alpha must be finite and > 0, got {alpha!r}")
-    check_seed(seed, LdaError)
+    check_int(LdaError, "seed", seed, 0)
     alpha, beta = float(alpha), BETA  # Python floats keep numpy scalars out of the loop
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .corpus import Document, doc_term_matrix
 
@@ -23,8 +23,17 @@ class ModelError(Exception):
     pass
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _softplus_and_sigmoid(a: np.ndarray) -> np.ndarray:
+    """softplus(a) = max(a, 0) + log1p(exp(-|a|)), with `a` overwritten by sigmoid(a) =
+    exp(a - softplus(a)): one exp of -|a| serves both, and one temporary."""
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    z = np.maximum(a, 0.0)
+    z += np.log1p(e, out=e)
+    a -= z
+    np.exp(a, out=a)
+    return z
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -167,12 +176,10 @@ def _encoder(params: ModelParams, hist: sp.csr_matrix):
     enc = params.enc
     s1 = hist @ enc["W1"]
     s1 += enc["b1"]
-    z1 = _softplus(s1)
-    expit(s1, out=s1)
+    z1 = _softplus_and_sigmoid(s1)
     s2 = z1 @ enc["W2"].T
     s2 += enc["b2"]
-    z2 = _softplus(s2)
-    expit(s2, out=s2)
+    z2 = _softplus_and_sigmoid(s2)
     mean = z2 @ enc["Wm"].T
     mean += enc["bm"]
     log_s = z2 @ enc["Ws"].T
@@ -214,10 +221,53 @@ def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
     return blocks
 
 
+class Gradients(Mapping):
+    """The gradients of one step by block name, in `trainable_blocks` order.
+
+    The encoder's first-layer gradient is the product `hist.T @ d_a1` of the batch's
+    (#V, batch) counts and a (batch, hidden) array: at (#V, hidden) the largest array a
+    step would allocate. It is held as those two factors, and `row_blocks` makes it a
+    block of rows at a time. Looking it up makes the whole array once and keeps it, so
+    edits to it reach `row_blocks`. A block made from the factors has the bytes of the
+    same rows of the whole product: scipy adds each row's terms in the same order.
+    """
+
+    def __init__(self, arrays: dict, factors: dict):
+        self._arrays = arrays  # name -> array; a factored name maps to None until looked up
+        self._factors = factors  # name -> (CSR left factor, dense right factor)
+
+    def __getitem__(self, name) -> np.ndarray:
+        g = self._arrays[name]
+        if g is None:
+            left, right = self._factors.pop(name)
+            g = self._arrays[name] = left @ right
+        return g
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def row_blocks(self, name, size: int):
+        """(rows, gradient rows) over the block `name`, each about `size` elements and at
+        least one row: views of an array, or products of the factors' rows."""
+        g = self._arrays[name]
+        if g is None:
+            left, right = self._factors[name]
+            n_rows, row_size = left.shape[0], right.shape[1]
+        else:
+            n_rows, row_size = len(g), g[:1].size
+        step = max(1, size // max(1, row_size))
+        for start in range(0, n_rows, step):
+            rows = slice(start, start + step)
+            yield rows, (left[rows] @ right if g is None else g[rows])
+
+
 def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
              kl_weight: float, with_grad: bool):
     """Batched single-sample ELBO over the (nnz, #T) support of the batch, and with
-    `with_grad` its gradients (None without).
+    `with_grad` its `Gradients` (None without).
 
     Only the words a document contains enter its likelihood (Dieng, Ruiz &
     Blei 2020), so words absent from the batch are never touched. The backward
@@ -281,9 +331,9 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     del d_a2
     d_a1 *= s1
     del s1
-    grads["enc.W1"] = hist.T @ d_a1
+    grads["enc.W1"] = None  # made from its factors, a block of rows at a time
     grads["enc.b1"] = d_a1.sum(axis=0)
-    del d_a1
+    factors = {"enc.W1": (hist.T.tocsr(), d_a1)}
 
     d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
     if params.kind == "etm":
@@ -301,7 +351,7 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
             minlength=params.log_lambda.size)
     if not params.freeze_word_emb:
         grads["word_emb"] = d_logits.T @ e_t
-    return elbo, {name: grads[name] for name in trainable_blocks(params)}
+    return elbo, Gradients({name: grads[name] for name in trainable_blocks(params)}, factors)
 
 
 def elbo_minibatch(params: ModelParams, docs: list[Document], doc_ids, seed: int) -> float:
@@ -314,7 +364,8 @@ def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     """ELBO value and its gradients at the same noise draw, in one pass.
 
     `kl_weight` < 1 gives the annealed objective used early in training.
-    Returns (elbo, grads) where grads has one array per trainable block.
+    Returns (elbo, grads) where grads maps each trainable block's name to its gradient
+    (a `Gradients`; the encoder's first layer is made only when looked up).
     """
     return _forward(params, docs, doc_ids, seed, kl_weight, True)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, check_seed
+from .corpus import Corpus, check_int
 
 
 class SgnsError(Exception):
@@ -22,11 +22,8 @@ class SgnsConfig:
     epochs: int = 5
 
     def __post_init__(self):
-        if self.window < 1:
-            raise SgnsError(f"window must be >= 1, got {self.window!r}")
-        for name in ("negatives", "epochs"):
-            if getattr(self, name) < 0:
-                raise SgnsError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name, low in (("window", 1), ("negatives", 0), ("epochs", 0)):
+            check_int(SgnsError, name, getattr(self, name), low)
         if not 0 <= self.subsample < np.inf:  # also rejects NaN
             raise SgnsError(f"subsample must be finite and >= 0, got {self.subsample!r}")
 
@@ -99,11 +96,10 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
     given, the mean pair loss of each epoch is appended to it.
     """
     config = config or SgnsConfig()
-    if dim < 1:
-        raise SgnsError("embedding dimension must be >= 1")
+    check_int(SgnsError, "dim", dim, 1)
     if not corpus.documents:
         raise SgnsError("empty corpus")
-    check_seed(seed, SgnsError)
+    check_int(SgnsError, "seed", seed, 0)
 
     rng = np.random.default_rng(seed)
     n_v = corpus.vocab_size

@@ -10,11 +10,14 @@ import numpy as np
 
 from . import model, sgns
 from .cluster import ClusterModel
-from .corpus import Corpus, is_int
+from .corpus import Corpus, check_int
 
 # Adam updates a block in flat chunks of this many elements, so that its passes over
 # the block, the gradient, both moments and two temporaries stay in cache.
 ADAM_CHUNK = 1 << 14
+# The clip norm and Adam read each gradient in blocks of whole rows of about this many
+# elements (1 MB), so the encoder's first-layer gradient is made a block at a time.
+ROW_BLOCK = 8 * ADAM_CHUNK
 
 
 class TrainingError(Exception):
@@ -39,9 +42,7 @@ class TrainConfig:
             raise TrainingError(f"unknown model kind {self.model_kind!r}")
         for name, low in (("n_topics", 1), ("emb_dim", 1), ("hidden", 1), ("epochs", 1),
                           ("batch_size", 1), ("kl_anneal_epochs", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= low):
-                raise TrainingError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(TrainingError, name, getattr(self, name), low)
         lr = self.learning_rate
         if not (isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
                 and 0 < lr < np.inf):  # also rejects NaN
@@ -63,6 +64,11 @@ class TrainReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _as_gradients(grads) -> model.Gradients:
+    """`grads` itself if it is a `model.Gradients`, else its arrays in one."""
+    return grads if isinstance(grads, model.Gradients) else model.Gradients(dict(grads), {})
+
+
 class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # the published defaults (Kingma & Ba 2015)
 
@@ -72,46 +78,54 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale,
-             decayed):
+    def step(self, blocks: dict[str, np.ndarray], grads, scale, decayed):
         """Ascent step (gradients point uphill) on the gradients times `scale`, after which
-        the blocks named in `decayed` shrink by the weight decay."""
+        the blocks named in `decayed` shrink by the weight decay.
+
+        `grads` maps block names to gradients: a `model.Gradients`, or any mapping of
+        arrays. Each block is updated a row block of its gradient at a time."""
+        grads = _as_gradients(grads)
         self.t += 1
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(blocks[name])
-                self.v[name] = np.zeros_like(blocks[name])
-            self._update(blocks[name], g, self.m[name], self.v[name], scale, name in decayed)
-
-    def _update(self, block, g, m, v, scale, decay: bool):
-        """In place, chunk by chunk, in the operation order of g *= scale,
-        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (lr*m_hat) / (sqrt(v_hat) + eps),
-        then block *= 1 - WEIGHT_DECAY if `decay`: one pass over the block.
-
-        `block`, `m` and `v` must be C-contiguous: their flat views are written. A
-        gradient in another layout is copied into the block's layout first. The model's
-        gradients are all C-ordered, so none is copied.
-        """
-        if not all(a.flags.c_contiguous for a in (block, m, v)):
-            raise TrainingError("Adam updates C-contiguous blocks and moments in place")
-        block, m, v, g = (a.reshape(-1) for a in (block, m, v, g))
         c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
-        tmp_buf, den_buf = np.empty((2, min(ADAM_CHUNK, g.size)))
+        step_size, eps_hat = self.lr * np.sqrt(c2) / c1, self.eps * np.sqrt(c2)
+        bufs = np.empty((2, ADAM_CHUNK))
+        for name in grads:
+            block = blocks[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(block)
+                self.v[name] = np.zeros_like(block)
+            m, v = self.m[name], self.v[name]
+            if not all(a.flags.c_contiguous for a in (block, m, v)):
+                raise TrainingError("Adam updates C-contiguous blocks and moments in place")
+            for rows, g in grads.row_blocks(name, ROW_BLOCK):
+                self._update(block[rows], g, m[rows], v[rows], scale, step_size, eps_hat,
+                             name in decayed, bufs)
+
+    def _update(self, block, g, m, v, scale, step_size, eps_hat, decay: bool, bufs):
+        """In place, chunk by chunk, in the operation order of g *= scale,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, block += (step_size*m) / (sqrt(v) + eps_hat),
+        then block *= 1 - WEIGHT_DECAY if `decay`: one pass over the rows.
+
+        step_size = lr*sqrt(1-b2^t)/(1-b1^t) and eps_hat = eps*sqrt(1-b2^t) fold the bias
+        corrections into two scalars (Kingma & Ba 2015, section 2). `block`, `m` and `v`
+        are rows of C-contiguous arrays, so their flat views are written. A gradient in
+        another layout is copied into the block's layout first. The model's gradients are
+        all C-ordered, so none is copied.
+        """
+        block, m, v, g = (a.reshape(-1) for a in (block, m, v, g))
         for start in range(0, g.size, ADAM_CHUNK):
             sl = slice(start, start + ADAM_CHUNK)
             gc, mc, vc, bc = g[sl], m[sl], v[sl], block[sl]
-            tmp, den = tmp_buf[: gc.size], den_buf[: gc.size]
+            tmp, den = bufs[0, : gc.size], bufs[1, : gc.size]
             gc *= scale
             mc *= self.beta1
             mc += np.multiply(gc, 1 - self.beta1, out=tmp)
             vc *= self.beta2
             np.multiply(gc, 1 - self.beta2, out=tmp)
             vc += np.multiply(tmp, gc, out=tmp)
-            np.divide(vc, c2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(mc, c1, out=tmp)
-            tmp *= self.lr
+            np.sqrt(vc, out=den)
+            den += eps_hat
+            np.multiply(mc, step_size, out=tmp)
             tmp /= den
             bc += tmp
             if decay:
@@ -124,14 +138,16 @@ WEIGHT_DECAY = 1.2e-6
 GRAD_CLIP = 5.0
 
 
-def _global_norm(grads: dict[str, np.ndarray], epoch: int):
-    """The gradients' global L2 norm from one dot product per block, which overflows to
-    inf without a warning. The blocks are scanned only when it is not finite, and a
+def _global_norm(grads, epoch: int):
+    """The gradients' global L2 norm from one dot product per row block, which overflows
+    to inf without a warning. The blocks are scanned only when it is not finite, and a
     block holding NaN or an infinity raises TrainingError by name."""
-    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    grads = _as_gradients(grads)
+    norm = np.sqrt(sum(float(np.vdot(g, g)) for name in grads
+                       for _, g in grads.row_blocks(name, ROW_BLOCK)))
     if not np.isfinite(norm):
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
+        for name in grads:
+            if not all(np.isfinite(g).all() for _, g in grads.row_blocks(name, ROW_BLOCK)):
                 raise TrainingError(f"non-finite gradient in block {name!r} at epoch {epoch}")
     return norm
 

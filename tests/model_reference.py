@@ -4,29 +4,39 @@
 `model._forward` replaced, kept unchanged as the oracle for its arithmetic:
 a fresh array for every elementwise result, the pre-activations kept and
 their sigmoids taken in the backward pass, and every forward value held by
-the backward closure until it returns. It takes its log-sum-exp from the model
-(`model._logsumexp`, checked against scipy's on its own). `model.elbo_and_grad`
-must give the same ELBO and the same gradient bytes.
+the backward closure until it returns. It takes its log-sum-exp and its softplus
+and sigmoid from the model (`model._logsumexp` and `model._softplus_and_sigmoid`,
+each checked against scipy's on its own). `model.elbo_and_grad` must give the
+same ELBO and the same gradient bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from clustertm.corpus import doc_term_matrix
-from clustertm.model import (ModelParams, VariationalStats, _logsumexp, _noise, _softplus,
-                             _topic_side, kl_to_prior, trainable_blocks)
+from clustertm.model import (ModelParams, VariationalStats, _logsumexp, _noise,
+                             _softplus_and_sigmoid, _topic_side, kl_to_prior, trainable_blocks)
+
+
+def softplus(a):
+    return _softplus_and_sigmoid(a.copy())
+
+
+def sigmoid(a):
+    s = a.copy()
+    _softplus_and_sigmoid(s)
+    return s
 
 
 def reference_encoder(params: ModelParams, hist: sp.csr_matrix):
     """(a1, z1, a2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts."""
     enc = params.enc
     a1 = hist @ enc["W1"] + enc["b1"]
-    z1 = _softplus(a1)
+    z1 = softplus(a1)
     a2 = z1 @ enc["W2"].T + enc["b2"]
-    z2 = _softplus(a2)
+    z2 = softplus(a2)
     return a1, z1, a2, z2, z2 @ enc["Wm"].T + enc["bm"], z2 @ enc["Ws"].T + enc["bs"]
 
 
@@ -71,10 +81,10 @@ def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: 
         grads["enc.bm"] = d_m.sum(axis=0)
         grads["enc.Ws"] = d_log_s.T @ z2
         grads["enc.bs"] = d_log_s.sum(axis=0)
-        d_a2 = d_z2 * expit(a2)
+        d_a2 = d_z2 * sigmoid(a2)
         grads["enc.W2"] = d_a2.T @ z1
         grads["enc.b2"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ enc["W2"]) * expit(a1)
+        d_a1 = (d_a2 @ enc["W2"]) * sigmoid(a1)
         grads["enc.W1"] = hist.T @ d_a1
         grads["enc.b1"] = d_a1.sum(axis=0)
 

@@ -75,6 +75,15 @@ def test_kmeans_rejects_bad_k():
         kmeans(points, 2, n_restarts=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 2.5), ("k", True), ("k", "2"), ("n_restarts", 1.5), ("n_restarts", "2"),
+    ("n_restarts", 0)])
+def test_kmeans_integer_settings_fail_by_name(field, value):
+    settings = {"k": 2, field: value}
+    with pytest.raises(ClusterError, match=f"^{field} must be an integer >= 1, got .+$"):
+        kmeans(np.eye(3), settings.pop("k"), **settings)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
 def test_kmeans_rejects_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ClusterError, match="^seed must be an integer >= 0, got .+$"):

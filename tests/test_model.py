@@ -395,6 +395,22 @@ def test_logsumexp_matches_scipy():
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
+def test_softplus_and_sigmoid_match_logaddexp_and_expit():
+    # softplus within 4 ulps (2 seen), allowing for either side's exp and log1p. The
+    # sigmoid is exp(a - softplus(a)), so the rounding of that difference, half an ulp of
+    # max(1, |a|), adds to its relative error.
+    special = [0.0, 1e-300, 1.0, 20.0, 36.7, 40.0, 700.0]
+    grid = np.concatenate([special, np.negative(special), np.linspace(-700.0, 700.0, 200001),
+                           np.random.default_rng(36).uniform(-40.0, 40.0, 100000)])
+    sigmoid = grid.copy()
+    softplus = model._softplus_and_sigmoid(sigmoid)
+    want = np.logaddexp(0.0, grid)
+    assert np.all(np.abs(softplus - want) <= 4 * np.spacing(want))
+    want = scipy.special.expit(grid)
+    assert np.all(np.abs(sigmoid - want)
+                  <= 2 * want * np.spacing(np.maximum(1.0, np.abs(grid))) + 4 * np.spacing(want))
+
+
 @pytest.mark.parametrize("kl_weight", [0.5, 1.0])
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("kind", ["etm", "modified"])

@@ -66,6 +66,20 @@ def test_pretrain_rejects_bad_config():
         pretrain(corpus, 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window", 1.5), ("window", True), ("window", 0), ("negatives", 2.5), ("negatives", -1),
+    ("epochs", 1.5), ("epochs", "5"), ("epochs", None)])
+def test_config_integer_settings_fail_by_name(field, value):
+    with pytest.raises(SgnsError, match=f"^{field} must be an integer >= [01], got .+$"):
+        SgnsConfig(**{field: value})
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "8", 0])
+def test_pretrain_rejects_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(SgnsError, match="^dim must be an integer >= 1, got .+$"):
+        pretrain(make_corpus([[0, 1]]), dim, SgnsConfig(epochs=1))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
 def test_pretrain_rejects_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(SgnsError, match="^seed must be an integer >= 0, got .+$"):

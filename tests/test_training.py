@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from clustertm import metrics, model, training
 from clustertm.cluster import cluster_corpus
@@ -152,16 +153,17 @@ def test_optimizer_zero_gradient_is_noop():
 
 
 def reference_adam_step(opt, blocks, grads):
-    """The out-of-place update, operation for operation."""
+    """The out-of-place update, operation for operation: the bias corrections folded into
+    the step size and epsilon (Kingma & Ba 2015, section 2)."""
     opt.t += 1
+    c1, c2 = 1 - opt.beta1 ** opt.t, 1 - opt.beta2 ** opt.t
+    step_size, eps_hat = opt.lr * np.sqrt(c2) / c1, opt.eps * np.sqrt(c2)
     for name, g in grads.items():
         m = opt.m.get(name, np.zeros_like(g))
         v = opt.v.get(name, np.zeros_like(g))
         opt.m[name] = opt.beta1 * m + (1 - opt.beta1) * g
         opt.v[name] = opt.beta2 * v + (1 - opt.beta2) * g * g
-        mhat = opt.m[name] / (1 - opt.beta1 ** opt.t)
-        vhat = opt.v[name] / (1 - opt.beta2 ** opt.t)
-        blocks[name] += opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+        blocks[name] += step_size * opt.m[name] / (np.sqrt(opt.v[name]) + eps_hat)
 
 
 def test_adam_in_place_step_matches_reference_bit_for_bit():
@@ -180,19 +182,35 @@ def test_adam_in_place_step_matches_reference_bit_for_bit():
             assert opt.v[k].tobytes() == ref.v[k].tobytes()
 
 
+def test_adam_step_matches_the_textbook_bias_corrected_form():
+    # Algorithm 1 of Kingma & Ba (2015): lr * m_hat / (sqrt(v_hat) + eps). Each step is
+    # taken from a zero block, so the block holds the step alone.
+    rng = np.random.default_rng(10)
+    opt = Adam(3e-3)
+    m, v = np.zeros((40, 9)), np.zeros((40, 9))
+    for t in range(1, 9):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=m.shape)
+        block = np.zeros_like(m)
+        opt.step({"W": block}, {"W": g.copy()}, 1.0, ())
+        m = opt.beta1 * m + (1 - opt.beta1) * g
+        v = opt.beta2 * v + (1 - opt.beta2) * g * g
+        m_hat, v_hat = m / (1 - opt.beta1 ** t), v / (1 - opt.beta2 ** t)
+        textbook = opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        assert np.all(np.abs(block - textbook) <= 1e-13 * np.abs(textbook))
+
+
 def unchunked_adam_update(opt, block, g, m, v):
     """`Adam._update` before it ran in chunks: whole-array passes, same operation order."""
     tmp, den = np.empty_like(g), np.empty_like(g)
+    c2 = 1 - opt.beta2 ** opt.t
     m *= opt.beta1
     m += np.multiply(g, 1 - opt.beta1, out=tmp)
     v *= opt.beta2
     np.multiply(g, 1 - opt.beta2, out=tmp)
     v += np.multiply(tmp, g, out=tmp)
-    np.divide(v, 1 - opt.beta2 ** opt.t, out=den)
-    np.sqrt(den, out=den)
-    den += opt.eps
-    np.divide(m, 1 - opt.beta1 ** opt.t, out=tmp)
-    tmp *= opt.lr
+    np.sqrt(v, out=den)
+    den += opt.eps * np.sqrt(c2)
+    np.multiply(m, opt.lr * np.sqrt(c2) / (1 - opt.beta1 ** opt.t), out=tmp)
     tmp /= den
     block += tmp
 
@@ -257,6 +275,68 @@ def test_adam_step_peak_memory_at_most_three_blocks():
     assert peak <= 3 * blocks["big"].nbytes
 
 
+def factored_gradient(seed, **arrays):
+    """Gradients of `arrays` and of a (700, 400) `hist.T @ d_a1`-shaped product "W" of
+    three row blocks, held as its factors, and that product as the model made it before."""
+    rng = np.random.default_rng(seed)
+    hist = scipy.sparse.random(30, 700, density=0.05, format="csr", random_state=rng)
+    d_a1 = rng.normal(size=(30, 400))
+    grads = model.Gradients({"W": None, **arrays}, {"W": (hist.T.tocsr(), d_a1)})
+    return grads, hist.T @ d_a1
+
+
+def test_gradient_row_blocks_of_the_factors_are_rows_of_the_whole_product():
+    grads, whole = factored_gradient(11)
+    blocks = list(grads.row_blocks("W", training.ROW_BLOCK))
+    assert len(blocks) == 3 and grads._arrays["W"] is None  # made by blocks, never whole
+    assert np.vstack([g for _, g in blocks]).tobytes() == whole.tobytes()
+    assert grads["W"].tobytes() == whole.tobytes()
+    grads["W"][0, 0] = 7.0  # a looked-up gradient is kept, and edits to it are read
+    assert next(grads.row_blocks("W", training.ROW_BLOCK))[1][0, 0] == 7.0
+
+
+def test_adam_through_factored_row_blocks_matches_adam_on_the_whole_gradient():
+    rng = np.random.default_rng(12)
+    block = rng.normal(size=(700, 400))
+    blocks = {"W": block, "b": rng.normal(size=9)}
+    ref_blocks = {k: v.copy() for k, v in blocks.items()}
+    opt, ref = Adam(2e-3), Adam(2e-3)
+    for step, scale in enumerate((0.37, 1.0, 1e-3)):
+        g_b = rng.normal(size=9)
+        grads, whole = factored_gradient(step, b=g_b.copy())
+        opt.step(blocks, grads, scale, ("W",))
+        ref.step(ref_blocks, {"W": whole, "b": g_b}, scale, ("W",))
+        for k in blocks:
+            assert blocks[k].tobytes() == ref_blocks[k].tobytes(), k
+            assert opt.m[k].tobytes() == ref.m[k].tobytes(), k
+            assert opt.v[k].tobytes() == ref.v[k].tobytes(), k
+
+
+@pytest.mark.parametrize("clip", [training.GRAD_CLIP, 1e-3])
+def test_fit_does_not_depend_on_whether_the_first_layer_gradient_was_looked_up(
+        monkeypatch, clip):
+    # a W1 of 3000 x 200 takes 5 row blocks; a clip of 1e-3 clips every step, so the
+    # parameters carry the norm's bytes as well as Adam's
+    monkeypatch.setattr(training, "GRAD_CLIP", clip)
+    rng = np.random.default_rng(13)
+    n_vocab = 3000
+    corpus = make_corpus([rng.integers(0, n_vocab, size=rng.integers(20, 60)).tolist()
+                          for _ in range(48)], words=[f"w{i:04d}" for i in range(n_vocab)])
+    config = small_config(n_topics=4, emb_dim=10, hidden=200, epochs=2, batch_size=16)
+    factored, _ = fit(corpus, None, config)
+    real = model.elbo_and_grad
+
+    def looked_up(params, docs, ids, seed, kl_weight=1.0):
+        value, grads = real(params, docs, ids, seed, kl_weight=kl_weight)
+        assert grads["enc.W1"].shape == (n_vocab, 200)
+        return value, grads
+
+    monkeypatch.setattr(model, "elbo_and_grad", looked_up)
+    whole, _ = fit(corpus, None, config)
+    for name, block in model.trainable_blocks(factored).items():
+        assert block.tobytes() == model.trainable_blocks(whole)[name].tobytes(), name
+
+
 def test_global_norm_makes_no_block_sized_temporary():
     # a wide-vocabulary W1 gradient is 22.5 MB; squaring it for the norm copied all of it
     g = np.random.default_rng(9).normal(size=(3684, 800))
@@ -271,9 +351,9 @@ def test_global_norm_makes_no_block_sized_temporary():
 
 
 def test_fit_peak_memory_holds_no_copy_of_the_encoder_first_layer():
-    # The parameters, one gradient set and Adam's two moments take 4x the trainable
-    # bytes, and the peak is 4.26x. One more copy of the W1 layer (75% of the bytes
-    # here), such as a square of its gradient, or a second live gradient set, passes 4.5x.
+    # The parameters and Adam's two moments take 3x the trainable bytes, and the W1 layer
+    # 75% of them here. The W1 gradient is made a block of rows at a time, and the peak
+    # is 3.65x; it was 4.26x with the whole W1 gradient, and so is any other W1-sized copy.
     rng = np.random.default_rng(0)
     n_vocab = 3000
     corpus = make_corpus([rng.integers(0, n_vocab, size=rng.integers(20, 60)).tolist()
@@ -285,7 +365,7 @@ def test_fit_peak_memory_holds_no_copy_of_the_encoder_first_layer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * sum(b.nbytes for b in model.trainable_blocks(params).values())
+    assert peak <= 4.0 * sum(b.nbytes for b in model.trainable_blocks(params).values())
 
 
 def edited_step_inputs(monkeypatch, edit):
@@ -318,6 +398,18 @@ def test_step_names_the_block_holding_a_non_finite_gradient(monkeypatch, name, b
     assert opt.t == 0 and not opt.m
     for k, block in model.trainable_blocks(params).items():
         assert block.tobytes() == before[k].tobytes(), k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_names_the_first_layer_gradient_made_non_finite_by_its_factors(monkeypatch, bad):
+    def edit(grads):
+        _, d_a1 = grads._factors["enc.W1"]
+        d_a1[0, 1] = bad
+
+    params, opt, docs = edited_step_inputs(monkeypatch, edit)
+    with pytest.raises(TrainingError, match="non-finite gradient in block 'enc.W1' at epoch 2"):
+        training._step(params, opt, docs, np.arange(6), 5, 1.0, 2)
+    assert opt.t == 0 and not opt.m
 
 
 def test_step_clips_a_finite_gradient_whose_square_overflows_to_a_zero_step(monkeypatch):
