@@ -2,15 +2,18 @@
 
 Generates corpora of the benchmark's `wide-vocab` shape (20 planted topics of
 250 words each, flat Zipf, 10-30 tokens per document) with
-`bench/corpus_gen.generate`, and at each size times `preprocess`,
-`vectorize_documents` (TF-IDF), `kmeans` (k=20, 2 restarts), one ETM epoch and
-one epoch of the modified model on that k-means (k = 20 topics). `kmeans` and
-each epoch run twice: once timed, once under tracemalloc for the peak traced
-memory. `kmeans` runs twice more on the TF-IDF rows plus one unit-norm row that
-holds every vocabulary word, the longest a document can be, so the cost of
-sorting rows with many non-zeros shows (`long_doc_*`). Prints one JSON
-object. `peak_rss_mb` is the process peak so far, so with ascending sizes it
-is the peak up to and including that size.
+`bench/corpus_gen.generate`, and at each size times `preprocess`, one SGNS
+epoch (dim 50) at the default subsample and at 1e-3, `vectorize_documents`
+(TF-IDF), `kmeans` (k=20, 2 restarts), one ETM epoch and one epoch of the
+modified model on that k-means (k = 20 topics). The SGNS epochs, `kmeans` and
+each training epoch run twice: once timed, once under tracemalloc for the peak
+traced memory. Each `sgns_*` entry maps the subsample setting to its value;
+`sgns_tokens_per_s` counts every token read, kept or not. `kmeans` runs twice
+more on the TF-IDF rows plus one unit-norm row that holds every vocabulary
+word, the longest a document can be, so the cost of sorting rows with many
+non-zeros shows (`long_doc_*`). Prints one JSON object. `peak_rss_mb` is the
+process peak so far, so with ascending sizes it is the peak up to and
+including that size.
 
     OPENBLAS_NUM_THREADS=1 python3 experiments/scale.py --sizes 400,1600,6400
 """
@@ -33,10 +36,11 @@ import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 import corpus_gen  # noqa: E402
-from clustertm import cluster, corpus, training  # noqa: E402
+from clustertm import cluster, corpus, sgns, training  # noqa: E402
 
 SHAPE = dict(n_topics=20, block=250, len_lo=10, len_hi=30, zipf_exp=0.0)
 K, RESTARTS, SEED = 20, 2, 1
+SGNS_DIM, SGNS_SUBSAMPLES = 50, (sgns.SgnsConfig().subsample, 1e-3)
 
 
 def timed(fn, *args, **kwargs):
@@ -66,6 +70,10 @@ def measure(n_docs: int) -> dict:
     planted = corpus_gen.generate(SEED, n_docs=n_docs, exclude=stop, **SHAPE)
     texts = [" ".join(planted.words[v] for v in doc) + "." for doc in planted.docs]
     docs, prep_s = timed(corpus.preprocess, texts, corpus.PreprocessOptions(min_freq=1))
+    sgns_s, sgns_peak = {}, {}
+    for subsample in SGNS_SUBSAMPLES:
+        _, sgns_s[str(subsample)], sgns_peak[str(subsample)] = timed_and_traced(
+            sgns.pretrain, docs, SGNS_DIM, sgns.SgnsConfig(epochs=1, subsample=subsample))
     points, vec_s = timed(cluster.vectorize_documents, docs)
     km, km_s, km_peak = kmeans_run(points)
     every_word = np.full((1, docs.vocab_size), docs.vocab_size ** -0.5)
@@ -80,7 +88,10 @@ def measure(n_docs: int) -> dict:
         "docs": docs.n_docs, "vocab": docs.vocab_size,
         "tfidf_nonzero_share": nnz / (docs.n_docs * docs.vocab_size),
         "dense_tfidf_mb": docs.n_docs * docs.vocab_size * 8 / 2**20,
-        "preprocess_s": prep_s, "vectorize_s": vec_s,
+        "preprocess_s": prep_s, "sgns_epoch_s": sgns_s,
+        "sgns_tokens_per_s": {key: docs.total_tokens / s for key, s in sgns_s.items()},
+        "sgns_peak_mb": {key: peak / 2**20 for key, peak in sgns_peak.items()},
+        "vectorize_s": vec_s,
         "kmeans_s": km_s, "kmeans_peak_mb": km_peak / 2**20,
         "kmeans_inertia": km.inertia, "lloyd_passes": len(km.inertia_history),
         "long_doc_kmeans_s": long_s, "long_doc_kmeans_peak_mb": long_peak / 2**20,

@@ -168,9 +168,14 @@ def _sq_dist(points, sq: np.ndarray, centres: np.ndarray, labels=None):
 
 
 def _member_sums(points, labels: np.ndarray, k: int) -> np.ndarray:
-    """(k, R) sums of each cluster's rows: one (k, n) indicator product, rows added in order."""
+    """(k, R) sums of each cluster's rows: one (k, n) indicator product, rows added in order.
+
+    The indicator is built in CSR form: row j lists cluster j's points in increasing order.
+    """
     n = len(labels)
-    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
+    indicator = sp.csr_matrix((np.ones(n), np.argsort(labels, kind="stable"), indptr),
+                              shape=(k, n))
     return _dense(indicator @ points)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,9 @@ LR0, LR_MIN = 0.025, 1e-4  # word2vec's linear learning-rate schedule (Mikolov e
 # Without subsampling, on documents of 1000-2000 tokens over 10 to 50 words, SGD diverged
 # with 850 or more such slots per batch, and did not with 256.
 MAX_SLOTS, MAX_REPEATS = 4096, 64
+# Tokens per span of whole documents. A span's keep mask, windows and learning rates are
+# drawn at once, so its per-token arrays take about 1 MB together at any corpus size.
+SPAN_TOKENS = 1 << 14
 
 
 @dataclass
@@ -87,13 +91,19 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
              report: list | None = None) -> EmbeddingMatrix:
     """Train input vectors over the corpus; deterministic for a given seed.
 
-    A document's (centre, context, negatives) pairs are updated as one batch,
-    scored at the weights from the start of the batch. A document is split into
-    batches of consecutive centre positions when it has more than fit in
-    `MAX_SLOTS` output slots, or when its likeliest word would fill more than
-    `MAX_REPEATS` of them. The learning rate of a pair follows word2vec's linear
-    schedule at its centre's position among the tokens read. If `report` is
-    given, the mean pair loss of each epoch is appended to it.
+    Each epoch reads the kept tokens of all documents as one sequence, and
+    updates the (centre, context, negatives) pairs of `block` consecutive centre
+    positions as one batch, scored at the weights from the start of the batch,
+    so a batch of short documents spans many of them. A context is taken only
+    from its centre's own document. A batch holds at most `MAX_SLOTS` output
+    slots, and is cut short enough that the likeliest word is expected to fill
+    at most `MAX_REPEATS` of them. The keep mask, the dynamic windows and the
+    learning rates are drawn a span of about `SPAN_TOKENS` tokens of whole
+    documents at a time, the negatives a batch at a time, and a batch ends at
+    its span's end. The learning rate
+    of a pair follows word2vec's linear schedule at its centre's position among
+    the tokens read. If `report` is given, the mean pair loss of each epoch is
+    appended to it.
     """
     config = config or SgnsConfig()
     check_int(SgnsError, "dim", dim, 1)
@@ -117,10 +127,18 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
     else:
         keep = np.ones(n_v)
 
-    docs = [np.asarray(d.tokens, dtype=np.int64) for d in corpus.documents]
-    total_tokens = sum(len(d) for d in docs)
+    # the corpus as one token sequence; document d is ids[doc_starts[d]:doc_starts[d + 1]]
+    doc_starts = np.cumsum([0] + [len(d.tokens) for d in corpus.documents])
+    total_tokens = int(doc_starts[-1])
+    ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in corpus.documents),
+                      dtype=np.int64, count=total_tokens)
+    # spans of whole documents, [spans[i], spans[i + 1]), of at most SPAN_TOKENS tokens
+    # unless one document is longer
+    spans = [0]
+    while spans[-1] < len(corpus.documents):
+        end = np.searchsorted(doc_starts, doc_starts[spans[-1]] + SPAN_TOKENS, "right") - 1
+        spans.append(max(spans[-1] + 1, int(end)))
     total_steps = max(1, config.epochs * total_tokens)
-    step = 0
     offsets = np.concatenate([np.arange(-config.window, 0), np.arange(1, config.window + 1)])
     # centre positions per batch; p_word bounds the chance that a kept centre, a context or
     # a negative is any one word
@@ -129,26 +147,35 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
     slots = min(MAX_SLOTS, MAX_REPEATS / p_word)
     block = max(1, int(slots) // (len(offsets) * (1 + config.negatives)))
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
-        for toks in docs:
+        for first_doc, end_doc in zip(spans, spans[1:]):
+            start = doc_starts[first_doc]
+            toks = ids[start:doc_starts[end_doc]]
             # the schedule advances per token read, subsampled or not, as in word2vec
             read = np.flatnonzero(rng.random(len(toks)) < keep[toks])
             sent = toks[read]
             n = len(sent)
             reach = rng.integers(1, config.window + 1, size=n)
-            lr = np.maximum(LR_MIN, LR0 * (1.0 - (step + read) / total_steps))
+            lr = np.maximum(LR_MIN, LR0 * (1.0 - (epoch * total_tokens + start + read)
+                                           / total_steps))
+            # the offsets [low, high] a kept position may reach: its window, clipped to the
+            # kept positions of its document; those of the span's j-th are [edges[j], edges[j+1])
+            edges = np.searchsorted(read, doc_starts[first_doc:end_doc + 1] - start)
+            kept_per_doc = np.diff(edges)
+            here = np.arange(n)
+            low = np.maximum(-reach, np.repeat(edges[:-1], kept_per_doc) - here)
+            high = np.minimum(reach, np.repeat(edges[1:], kept_per_doc) - 1 - here)
             for lo in range(0, n, block):
-                pos = np.arange(lo, min(n, lo + block))
-                ctx = pos[:, None] + offsets
-                ok = (np.abs(offsets) <= reach[pos, None]) & (ctx >= 0) & (ctx < n)
-                centre_pos = lo + np.nonzero(ok)[0]
+                hi = min(n, lo + block)
+                ok = (offsets >= low[lo:hi, None]) & (offsets <= high[lo:hi, None])
+                rows, cols = np.nonzero(ok)
+                centre_pos = lo + rows
                 negs = np.searchsorted(neg_cdf, rng.random((len(centre_pos), config.negatives)))
-                outputs = np.concatenate([sent[ctx[ok]][:, None], negs], axis=1)
+                outputs = np.concatenate([sent[centre_pos + offsets[cols]][:, None], negs], axis=1)
                 epoch_loss += _pair_step(w_in, w_out, sent[centre_pos], outputs, lr[centre_pos])
                 epoch_pairs += len(centre_pos)
-            step += len(toks)
         if report is not None:
             report.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
 

@@ -211,6 +211,23 @@ def test_kmeans_centres_are_member_means():
     assert np.array_equal(model.assignment, dists.argmin(axis=1))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_member_sums_are_byte_equal_to_the_coo_built_indicator_product(sparse):
+    # k above the number of labels drawn leaves clusters empty
+    rng = np.random.default_rng(14)
+    for trial in range(20):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        labels = rng.integers(0, max(1, k // 2) if trial % 2 else k, size=n)
+        points = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, 7))
+        if sparse:
+            points = sp.csr_matrix(np.where(rng.random(points.shape) < 0.3, points, 0.0))
+        coo = sp.coo_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n)).tocsr()
+        want = coo @ points
+        want = want.toarray() if sparse else want
+        got = cluster._member_sums(points, labels, k)
+        assert got.shape == (k, 7) and got.tobytes() == want.tobytes()
+
+
 def test_cluster_corpus_and_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     corpus = make_corpus([[int(x) for x in rng.integers(0, 15, size=10)]

@@ -273,3 +273,98 @@ def test_check_vocabulary_rejects_vectors_without_one_row_per_word(vectors):
     emb = EmbeddingMatrix(vectors, ["a", "b", "c"])
     with pytest.raises(SgnsError, match="one row for each of 3 words"):
         sgns.check_vocabulary(emb, corpus)
+
+
+def _recording_pair_step(calls):
+    """A `_pair_step` stand-in that records each batch and applies no update."""
+    def record(w_in, w_out, centres, outputs, lr):
+        calls.append((centres.copy(), outputs.copy(), lr.copy()))
+        return 0.0
+    return record
+
+
+@pytest.mark.parametrize("span_tokens", [sgns.SPAN_TOKENS, 7])
+def test_contexts_never_cross_a_document_boundary(monkeypatch, span_tokens):
+    # documents alternate between the words 0-4 and 5-9, so a context taken from a
+    # neighbouring document would come from the other set; spans of 7 tokens split
+    # the corpus between documents and hold a longer document alone
+    rng = np.random.default_rng(3)
+    docs = [[int(x) + 5 * (i % 2) for x in rng.integers(0, 5, size=int(rng.integers(2, 12)))]
+            for i in range(200)]
+    calls = []
+    monkeypatch.setattr(sgns, "_pair_step", _recording_pair_step(calls))
+    monkeypatch.setattr(sgns, "SPAN_TOKENS", span_tokens)
+    pretrain(make_corpus(docs), 4, SgnsConfig(epochs=2, subsample=0.0), seed=0)
+    centres = np.concatenate([c for c, _, _ in calls])
+    contexts = np.concatenate([o[:, 0] for _, o, _ in calls])
+    assert len(centres) > 1000
+    assert np.array_equal(centres < 5, contexts < 5)
+    if span_tokens >= sum(map(len, docs)):  # one span: most batches hold both sets
+        assert sum(len(np.unique(c < 5)) == 2 for c, _, _ in calls) > len(calls) // 2
+
+
+@pytest.mark.parametrize("span_tokens", [sgns.SPAN_TOKENS, 7])
+def test_learning_rate_follows_the_schedule_at_each_global_position(monkeypatch, span_tokens):
+    # without subsampling every token is a centre, so the rates of consecutive centres
+    # are the linear schedule at positions 0, 1, 2, ... of all the epochs' tokens
+    rng = np.random.default_rng(4)
+    docs = [[int(x) for x in rng.integers(0, 9, size=int(rng.integers(2, 12)))] for _ in range(30)]
+    corpus = make_corpus(docs)
+    calls = []
+    monkeypatch.setattr(sgns, "_pair_step", _recording_pair_step(calls))
+    monkeypatch.setattr(sgns, "SPAN_TOKENS", span_tokens)
+    pretrain(corpus, 4, SgnsConfig(epochs=2, subsample=0.0), seed=0)
+    rates = np.concatenate([lr for _, _, lr in calls])
+    per_centre = rates[np.r_[True, rates[1:] != rates[:-1]]]
+    total = 2 * corpus.total_tokens
+    want = np.maximum(sgns.LR_MIN, sgns.LR0 * (1.0 - np.arange(total) / total))
+    assert per_centre.tobytes() == want.tobytes()
+
+
+def test_batches_span_documents(monkeypatch):
+    # 300 three-token documents, each of 100 words three times: the parent of this
+    # batching made one call per document
+    rng = np.random.default_rng(5)
+    docs = rng.permutation(np.tile(np.arange(100), 9)).reshape(300, 3).tolist()
+    corpus = make_corpus(docs)
+    config = SgnsConfig(epochs=1, subsample=0.0)
+    calls = []
+    monkeypatch.setattr(sgns, "_pair_step", _recording_pair_step(calls))
+    pretrain(corpus, 4, config, seed=0)
+    neg_probs = corpus.g0 ** 0.75 / (corpus.g0 ** 0.75).sum()
+    p_word = max(neg_probs.max(), corpus.g0.max())
+    slots = min(sgns.MAX_SLOTS, sgns.MAX_REPEATS / p_word)
+    block = int(slots) // (2 * config.window * (1 + config.negatives))
+    assert block > 30
+    assert len(calls) <= np.ceil(900 / block)
+
+
+def test_pretrain_stays_finite_on_many_short_documents_over_few_words():
+    # as on long documents: every slot of a batch is one of two rows, and a batch
+    # spans hundreds of these documents unless cut by MAX_REPEATS
+    rng = np.random.default_rng(6)
+    docs = [rng.integers(0, 2, size=int(rng.integers(2, 5))).tolist() for _ in range(2000)]
+    corpus = make_corpus(docs, words=["a", "b"])
+    report = []
+    emb = pretrain(corpus, 8, SgnsConfig(epochs=2, subsample=0.0), seed=0, report=report)
+    assert np.isfinite(report).all()
+    assert np.abs(emb.vectors).max() < 5
+
+
+def test_pretrain_peak_memory_grows_with_the_corpus_only_by_its_token_ids():
+    # the per-token arrays are made a span of documents at a time; what grows with the
+    # corpus is its token ids (8 bytes each) and its document offsets
+    def traced(n_docs):
+        rng = np.random.default_rng(7)
+        docs = [rng.integers(0, 500, size=int(rng.integers(5, 30))).tolist()
+                for _ in range(n_docs)]
+        corpus = make_corpus(docs)
+        tracemalloc.start()
+        try:
+            pretrain(corpus, 8, SgnsConfig(epochs=1), seed=0)
+            return corpus.total_tokens, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (small_tokens, small), (big_tokens, big) = traced(1000), traced(9000)
+    assert big - small < 8 * (big_tokens - small_tokens) + 48 * 8000
