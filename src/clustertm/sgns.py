@@ -91,19 +91,18 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
              report: list | None = None) -> EmbeddingMatrix:
     """Train input vectors over the corpus; deterministic for a given seed.
 
-    Each epoch reads the kept tokens of all documents as one sequence, and
-    updates the (centre, context, negatives) pairs of `block` consecutive centre
-    positions as one batch, scored at the weights from the start of the batch,
-    so a batch of short documents spans many of them. A context is taken only
-    from its centre's own document. A batch holds at most `MAX_SLOTS` output
-    slots, and is cut short enough that the likeliest word is expected to fill
-    at most `MAX_REPEATS` of them. The keep mask, the dynamic windows and the
-    learning rates are drawn a span of about `SPAN_TOKENS` tokens of whole
-    documents at a time, the negatives a batch at a time, and a batch ends at
-    its span's end. The learning rate
-    of a pair follows word2vec's linear schedule at its centre's position among
-    the tokens read. If `report` is given, the mean pair loss of each epoch is
-    appended to it.
+    Each epoch reads the kept tokens of all documents as one sequence and
+    updates the (centre, context, negatives) pairs of `block` consecutive
+    centres as one batch, scored at the weights from the start of the batch;
+    a batch runs across documents, but a context comes only from its centre's
+    own document. A batch holds at most `MAX_SLOTS` output slots, and is cut
+    short enough that the likeliest word is expected to fill at most
+    `MAX_REPEATS` of them. The keep mask, the dynamic windows and the learning
+    rates are drawn a span of about `SPAN_TOKENS` tokens of whole documents at
+    a time, the negatives a batch at a time, and a batch ends at its span's
+    end. The learning rate of a pair follows word2vec's linear schedule at its
+    centre's position among the tokens read. If `report` is given, the mean
+    pair loss of each epoch is appended to it.
     """
     config = config or SgnsConfig()
     check_int(SgnsError, "dim", dim, 1)

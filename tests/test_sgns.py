@@ -322,8 +322,8 @@ def test_learning_rate_follows_the_schedule_at_each_global_position(monkeypatch,
 
 
 def test_batches_span_documents(monkeypatch):
-    # 300 three-token documents, each of 100 words three times: the parent of this
-    # batching made one call per document
+    # 300 three-token documents over 100 words, so that `block` is 68 centres: one
+    # call per document would make 300 calls, batches across documents 14
     rng = np.random.default_rng(5)
     docs = rng.permutation(np.tile(np.arange(100), 9)).reshape(300, 3).tolist()
     corpus = make_corpus(docs)
