@@ -274,15 +274,16 @@ def save_clusters(model: ClusterModel, path) -> None:
 def load_clusters(path) -> ClusterModel:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-        bad = [a for a in payload["assignment"] if type(a) is not int]  # bool is not int here
+        centres, ids = np.asarray(payload["centres"], dtype=float), payload["assignment"]
+        if centres.ndim != 2:
+            raise ClusterError(f"{path}: centres must be a 2-D array, got shape {centres.shape}")
+        if np.ndim(ids) != 1:
+            raise ClusterError(f"{path}: assignment must be a 1-D list, got shape {np.shape(ids)}")
+        bad = [a for a in ids if type(a) is not int]  # bool is not int here
         if bad:
             raise ClusterError(f"{path}: cluster id {bad[0]!r} is not an integer")
-        model = ClusterModel(
-            np.asarray(payload["centres"], dtype=float),
-            np.asarray(payload["assignment"], dtype=np.int64),
-            payload["representation"],
-            float(payload["inertia"]),
-        )
+        model = ClusterModel(centres, np.asarray(ids, dtype=np.int64), payload["representation"],
+                             float(payload["inertia"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ClusterError(f"{path}: malformed cluster file ({e})") from e
     if not (np.isfinite(model.centres).all() and np.isfinite(model.inertia)):

@@ -50,7 +50,7 @@ def load_stopwords(paths) -> set[str]:
 
 
 def load_lemma_dict(path) -> dict[str, str]:
-    """TSV file, one `word<TAB>lemma` pair per line."""
+    """TSV file, one `word<TAB>lemma` pair per line; a lemma is one word, without spaces."""
     table: dict[str, str] = {}
     for i, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
@@ -58,7 +58,10 @@ def load_lemma_dict(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path}:{i}: expected 'word<TAB>lemma', got {line!r}")
-        table[parts[0].strip()] = parts[1].strip()
+        lemma = parts[1].strip()
+        if not lemma or len(lemma.split()) > 1:
+            raise CorpusError(f"{path}:{i}: a lemma is one word without spaces, got {lemma!r}")
+        table[parts[0].strip()] = lemma
     return table
 
 
@@ -233,7 +236,10 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_corpus(path) -> Corpus:
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-        vocab = Vocabulary(payload["vocab"])
+        words = payload["vocab"]
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise CorpusError(f"{path}: vocab must be a list of strings, got {words!r:.60}")
+        vocab = Vocabulary(words)
         docs = [Document(list(toks)) for toks in payload["docs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e

@@ -378,19 +378,12 @@ _CONST_ARRAYS = ("centres", "log_g0", "assignment")
 
 
 def _all_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    arrays = {"word_emb": params.word_emb}
-    arrays.update({f"enc.{k}": v for k, v in params.enc.items()})
+    """The arrays a checkpoint stores: the word embeddings, `trainable_blocks` with the
+    encoder's W1 as (hidden, #V), then the constants that are set."""
+    arrays = {"word_emb": params.word_emb, **trainable_blocks(params)}
     arrays["enc.W1"] = params.enc["W1"].T
-    if params.topic_emb is not None:
-        arrays["topic_emb"] = params.topic_emb
-    if params.xi is not None:
-        arrays.update({f"xi.{k}": v for k, v in params.xi.items()})
-    if params.log_lambda is not None:
-        arrays["log_lambda"] = params.log_lambda
-    for name in _CONST_ARRAYS:
-        val = getattr(params, name)
-        if val is not None:
-            arrays[name] = val
+    consts = {name: getattr(params, name) for name in _CONST_ARRAYS}
+    arrays.update({name: v for name, v in consts.items() if v is not None})
     return arrays
 
 
@@ -416,13 +409,24 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Parameters and header of a checkpoint; a truncated or garbled file raises ModelError."""
+    """Parameters and header of a checkpoint. A truncated or garbled file, a kind other than
+    etm and modified, or arrays other than those its kind stores raise ModelError."""
     data = Path(path).read_bytes()
     try:
         (hlen,) = struct.unpack_from("<Q", data)
         meta = json.loads(data[8 : 8 + hlen].decode("utf-8"))
         if not isinstance(meta, dict) or meta.get("format") != "clustertm-ckpt-v1":
             raise ModelError(f"{path}: not a clustertm checkpoint")
+        kind, names = meta["kind"], [spec["name"] for spec in meta["arrays"]]
+        if kind not in ("etm", "modified"):
+            raise ModelError(f"{path}: unknown model kind {kind!r}")
+        # the names do not depend on the sizes: take them from a model of size 1
+        expected = list(_all_arrays(init_params(kind, 1, 1, 1, 1, 1, centres=np.zeros((1, 1)),
+                                                log_g0=np.zeros(1), assignment=[0])))
+        if names != expected:
+            raise ModelError(f"{path}: not the arrays of a {kind} checkpoint (missing "
+                             f"{[n for n in expected if n not in names]}, unexpected "
+                             f"{[n for n in names if n not in expected]})")
         arrays, offset = {}, 8 + hlen
         for spec in meta["arrays"]:
             shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])

@@ -64,11 +64,6 @@ class TrainReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _as_gradients(grads) -> model.Gradients:
-    """`grads` itself if it is a `model.Gradients`, else its arrays in one."""
-    return grads if isinstance(grads, model.Gradients) else model.Gradients(dict(grads), {})
-
-
 class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # the published defaults (Kingma & Ba 2015)
 
@@ -78,13 +73,10 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, blocks: dict[str, np.ndarray], grads, scale, decayed):
+    def step(self, blocks: dict[str, np.ndarray], grads: model.Gradients, scale, decayed):
         """Ascent step (gradients point uphill) on the gradients times `scale`, after which
-        the blocks named in `decayed` shrink by the weight decay.
-
-        `grads` maps block names to gradients: a `model.Gradients`, or any mapping of
-        arrays. Each block is updated a row block of its gradient at a time."""
-        grads = _as_gradients(grads)
+        the blocks named in `decayed` shrink by the weight decay. Each block is updated a
+        row block of its gradient at a time."""
         self.t += 1
         c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         step_size, eps_hat = self.lr * np.sqrt(c2) / c1, self.eps * np.sqrt(c2)
@@ -138,11 +130,10 @@ WEIGHT_DECAY = 1.2e-6
 GRAD_CLIP = 5.0
 
 
-def _global_norm(grads, epoch: int):
+def _global_norm(grads: model.Gradients, epoch: int):
     """The gradients' global L2 norm from one dot product per row block, which overflows
     to inf without a warning. The blocks are scanned only when it is not finite, and a
     block holding NaN or an infinity raises TrainingError by name."""
-    grads = _as_gradients(grads)
     norm = np.sqrt(sum(float(np.vdot(g, g)) for name in grads
                        for _, g in grads.row_blocks(name, ROW_BLOCK)))
     if not np.isfinite(norm):

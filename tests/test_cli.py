@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -385,6 +386,83 @@ def test_preprocess_with_empty_stopword_list_keeps_every_word(tmp_path):
     words = load_corpus(out).vocabulary.words
     assert {"the", "on", "and"} <= set(words)
     assert read_manifest(out)["config"]["stopwords"] == []
+
+
+def write_lemma_texts(tmp_path, lemma_lines):
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text("".join(json.dumps({"text": t}) + "\n"
+                             for t in ("the cats saw a cat", "dogs chase cats")), "utf-8")
+    lemma = tmp_path / "lemma.tsv"
+    lemma.write_text("".join(line + "\n" for line in lemma_lines), "utf-8")
+    return texts, lemma
+
+
+def test_preprocess_lemma_maps_inflections(tmp_path):
+    texts, lemma = write_lemma_texts(tmp_path, ["cats\tcat", "dogs\tdog"])
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", texts, out, "--min-freq", 1, "--stopwords", "--lemma", lemma]) == 0
+    corpus = load_corpus(out)
+    words = corpus.vocabulary.words
+    assert words == ["a", "cat", "chase", "dog", "saw", "the"]
+    assert [[words[t] for t in d.tokens] for d in corpus.documents] == [
+        ["the", "cat", "saw", "a", "cat"], ["dog", "chase", "cat"]]
+    assert read_manifest(out)["config"]["lemma"] == str(lemma)
+
+
+@pytest.mark.parametrize("line, lemma", [("dogs\tbig dog", "big dog"), ("cats\t", "")])
+def test_preprocess_rejects_lemma_that_is_not_one_word(tmp_path, capsys, line, lemma):
+    texts, path = write_lemma_texts(tmp_path, ["cats\tcat", line])
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", texts, out, "--min-freq", 1, "--stopwords", "--lemma", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: CorpusError: {path}:2: a lemma is one word without spaces, got {lemma!r}"]
+    assert not out.exists()
+
+
+def test_train_reads_a_toml_config_or_names_the_python_it_needs(texts_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    toml = tmp_path / "cfg.toml"
+    toml.write_text("epochs = 2\nemb_dim = 4\nhidden = 8\nlearning_rate = 0.01\n", "utf-8")
+    out = tmp_path / "toml.ckpt"
+    code = run(["train", corpus, out, "--model", "etm", "--topics", 2, "--config", toml])
+    if sys.version_info < (3, 11):
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: TrainingError: TOML configs need Python >= 3.11; use JSON"]
+        return
+    assert code == 0
+    config = read_manifest(out)["config"]
+    assert config == {**asdict(training.TrainConfig(model_kind="etm", n_topics=2, epochs=2,
+                                                    emb_dim=4, hidden=8, learning_rate=0.01)),
+                      "pretrained_path": None}
+    same = tmp_path / "json.ckpt"
+    json_config = write_config(tmp_path, epochs=2, emb_dim=4, hidden=8, learning_rate=0.01)
+    assert run(["train", corpus, same, "--model", "etm", "--topics", 2,
+                "--config", json_config]) == 0
+    assert out.read_bytes() == same.read_bytes()
+
+
+def test_train_report_file_holds_the_training_report(texts_dir, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.json"
+    run(["preprocess", texts_dir, corpus, "--min-freq", 1])
+    reports = []
+    real_fit = training.fit
+
+    def recorded_fit(*args, **kwargs):
+        params, report = real_fit(*args, **kwargs)
+        reports.append(report)
+        return params, report
+
+    monkeypatch.setattr(training, "fit", recorded_fit)
+    report = tmp_path / "report.json"
+    config = write_config(tmp_path, epochs=3, emb_dim=4, hidden=8)
+    assert run(["train", corpus, tmp_path / "model.ckpt", "--model", "etm", "--topics", 2,
+                "--config", config, "--report", report]) == 0
+    assert report.read_text("utf-8") == reports[0].to_json() + "\n"
+    payload = json.loads(report.read_text("utf-8"))
+    assert sorted(payload) == ["epoch_elbo", "warnings"]  # no wall_time
+    assert len(payload["epoch_elbo"]) == 3 and all(np.isfinite(payload["epoch_elbo"]))
 
 
 def test_parser_defaults_of_k_and_dim_follow_train_config(monkeypatch):

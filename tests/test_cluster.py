@@ -289,6 +289,24 @@ def test_load_clusters_rejects_ids_that_are_not_integers(tmp_path, bad):
     assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("centres", [1.0, 2.0], "centres must be a 2-D array, got shape (2,)"),
+    ("centres", 3.0, "centres must be a 2-D array, got shape ()"),
+    ("assignment", [[0, 1], [1, 0]], "assignment must be a 1-D list, got shape (2, 2)"),
+    ("assignment", "01", "assignment must be a 1-D list, got shape ()"),
+])
+def test_load_clusters_rejects_centres_or_assignment_of_another_shape(tmp_path, field, value,
+                                                                      named):
+    model = kmeans(np.random.default_rng(2).normal(size=(8, 2)), 2, seed=0)
+    path = tmp_path / "clusters.json"
+    save_clusters(model, path)
+    payload = json.loads(path.read_text("utf-8"))
+    path.write_text(json.dumps({**payload, field: value}), "utf-8")
+    with pytest.raises(ClusterError) as err:
+        load_clusters(path)
+    assert str(err.value) == f"{path}: {named}"
+
+
 # ---------------------------------------------------- reference seeding oracle
 
 def seeded_run(fit, module, lloyd, points, k, seed, n_restarts):

@@ -181,6 +181,15 @@ def test_load_corpus_rejects_token_ids_that_are_not_integers(tmp_path, bad):
     assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("vocab", [[1, 2], "ab", ["a", None], {"a": 0, "b": 1}])
+def test_load_corpus_rejects_vocab_that_is_not_a_list_of_strings(tmp_path, vocab):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": vocab, "docs": [[0, 1], [1]]}), "utf-8")
+    with pytest.raises(CorpusError, match="vocab must be a list of strings") as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
 def test_read_texts_directory_and_jsonl(tmp_path):
     d = tmp_path / "docs"
     d.mkdir()

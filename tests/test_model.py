@@ -550,6 +550,43 @@ def test_load_checkpoint_rejects_damaged_file(tmp_path):
         assert "\n" not in str(err.value), what
 
 
+def _rewritten_checkpoint(p, path, kind=None, drop=(), extra=None):
+    """`p` saved to `path`, then written again by hand with the header kind `kind`, without
+    the arrays named in `drop` and with the arrays in `extra` appended."""
+    model.save_checkpoint(p, path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data)
+    header = json.loads(data[8 : 8 + hlen])
+    specs, chunks, offset = [], [], 8 + hlen
+    for spec in header["arrays"]:
+        size = 8 * int(np.prod(spec["shape"]))  # float64 and int64 alike
+        if spec["name"] not in drop:
+            specs.append(spec)
+            chunks.append(data[offset : offset + size])
+        offset += size
+    for name, arr in (extra or {}).items():
+        specs.append({"name": name, "shape": list(arr.shape), "dtype": "float64"})
+        chunks.append(arr.tobytes())
+    header = json.dumps({**header, "kind": kind or header["kind"], "arrays": specs},
+                        sort_keys=True).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"".join(chunks))
+
+
+@pytest.mark.parametrize("params, edit, message", [
+    (etm_params, dict(kind="lda"), "unknown model kind 'lda'"),
+    (etm_params, dict(drop=("topic_emb",)), "missing ['topic_emb']"),
+    (modified_params, dict(drop=("xi.W1",)), "missing ['xi.W1']"),
+    (etm_params, dict(extra={"enc.W3": np.ones((5, 5))}), "unexpected ['enc.W3']"),
+], ids=["kind lda", "etm without topic_emb", "modified without xi.W1", "etm with an extra array"])
+def test_load_checkpoint_rejects_another_kind_or_other_arrays(tmp_path, params, edit, message):
+    path = tmp_path / "edited.ckpt"
+    _rewritten_checkpoint(params(seed=23), path, **edit)
+    with pytest.raises(model.ModelError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+    assert message in str(err.value)
+
+
 def test_checkpoint_header_with_cluster_hash_still_loads(tmp_path):
     """Older checkpoints carry a `cluster_hash` header key; it is read past."""
     path = tmp_path / "new.ckpt"

@@ -140,7 +140,7 @@ def test_fit_fit_lda_and_evaluate_topics_open_no_file(monkeypatch):
 
 
 def zero_grads_like(blocks):
-    return {k: np.zeros_like(v) for k, v in blocks.items()}
+    return model.Gradients({k: np.zeros_like(v) for k, v in blocks.items()}, {})
 
 
 def test_optimizer_zero_gradient_is_noop():
@@ -174,7 +174,7 @@ def test_adam_in_place_step_matches_reference_bit_for_bit():
     for _ in range(6):
         grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
                  for k, v in blocks.items()}
-        opt.step(blocks, {k: g.copy() for k, g in grads.items()}, 1.0, ())
+        opt.step(blocks, model.Gradients({k: g.copy() for k, g in grads.items()}, {}), 1.0, ())
         reference_adam_step(ref, ref_blocks, grads)
         for k in blocks:
             assert blocks[k].tobytes() == ref_blocks[k].tobytes()
@@ -191,7 +191,7 @@ def test_adam_step_matches_the_textbook_bias_corrected_form():
     for t in range(1, 9):
         g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=m.shape)
         block = np.zeros_like(m)
-        opt.step({"W": block}, {"W": g.copy()}, 1.0, ())
+        opt.step({"W": block}, model.Gradients({"W": g.copy()}, {}), 1.0, ())
         m = opt.beta1 * m + (1 - opt.beta1) * g
         v = opt.beta2 * v + (1 - opt.beta2) * g * g
         m_hat, v_hat = m / (1 - opt.beta1 ** t), v / (1 - opt.beta2 ** t)
@@ -224,7 +224,7 @@ def test_chunked_adam_update_matches_unchunked_on_fortran_gradient():
     opt, ref = Adam(2e-3), Adam(2e-3)
     for _ in range(5):
         g = np.asfortranarray(rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape))
-        opt.step({"W": block}, {"W": g}, 1.0, ())
+        opt.step({"W": block}, model.Gradients({"W": g}, {}), 1.0, ())
         ref.t += 1
         unchunked_adam_update(ref, ref_block, g, ref_m, ref_v)
         assert block.tobytes() == ref_block.tobytes()
@@ -241,7 +241,8 @@ def test_adam_clip_scale_and_decay_in_its_pass_match_separate_passes():
     opt, ref = Adam(2e-3), Adam(2e-3)
     for scale in (0.37, 1.0, 0.0, 1e-3):
         grads = {k: rng.normal(scale=10.0, size=v.shape) for k, v in blocks.items()}
-        opt.step(blocks, {k: g.copy() for k, g in grads.items()}, scale, ("W",))
+        opt.step(blocks, model.Gradients({k: g.copy() for k, g in grads.items()}, {}), scale,
+                 ("W",))
         for g in grads.values():
             g *= scale
         reference_adam_step(ref, ref_blocks, grads)
@@ -256,14 +257,14 @@ def test_adam_rejects_block_without_flat_view():
     # a flat reshape of a non-contiguous block is a copy, and the update would be lost
     block = np.asfortranarray(np.random.default_rng(7).normal(size=(4, 5)))
     with pytest.raises(TrainingError, match="C-contiguous"):
-        Adam(1e-3).step({"W": block}, {"W": np.ones((4, 5))}, 1.0, ())
+        Adam(1e-3).step({"W": block}, model.Gradients({"W": np.ones((4, 5))}, {}), 1.0, ())
 
 
 def test_adam_step_peak_memory_at_most_three_blocks():
     rng = np.random.default_rng(5)
     blocks = {"big": rng.normal(size=(400, 500)), "mid": rng.normal(size=(400, 300)),
               "small": rng.normal(size=50)}
-    grads = {k: rng.normal(size=v.shape) for k, v in blocks.items()}
+    grads = model.Gradients({k: rng.normal(size=v.shape) for k, v in blocks.items()}, {})
     opt = Adam(1e-3)
     opt.step(blocks, grads, 1.0, ())  # allocates the moment estimates
     tracemalloc.start()
@@ -305,7 +306,7 @@ def test_adam_through_factored_row_blocks_matches_adam_on_the_whole_gradient():
         g_b = rng.normal(size=9)
         grads, whole = factored_gradient(step, b=g_b.copy())
         opt.step(blocks, grads, scale, ("W",))
-        ref.step(ref_blocks, {"W": whole, "b": g_b}, scale, ("W",))
+        ref.step(ref_blocks, model.Gradients({"W": whole, "b": g_b}, {}), scale, ("W",))
         for k in blocks:
             assert blocks[k].tobytes() == ref_blocks[k].tobytes(), k
             assert opt.m[k].tobytes() == ref.m[k].tobytes(), k
@@ -342,7 +343,7 @@ def test_global_norm_makes_no_block_sized_temporary():
     g = np.random.default_rng(9).normal(size=(3684, 800))
     tracemalloc.start()
     try:
-        norm = training._global_norm({"enc.W1": g, "enc.b1": g[0]}, 0)
+        norm = training._global_norm(model.Gradients({"enc.W1": g, "enc.b1": g[0]}, {}), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
