@@ -277,6 +277,9 @@ def load_clusters(path) -> ClusterModel:
         centres, ids = np.asarray(payload["centres"], dtype=float), payload["assignment"]
         if centres.ndim != 2:
             raise ClusterError(f"{path}: centres must be a 2-D array, got shape {centres.shape}")
+        if centres.shape[1] == 0:
+            raise ClusterError(f"{path}: centres must have at least one column, "
+                               f"got shape {centres.shape}")
         if np.ndim(ids) != 1:
             raise ClusterError(f"{path}: assignment must be a 1-D list, got shape {np.shape(ids)}")
         bad = [a for a in ids if type(a) is not int]  # bool is not int here

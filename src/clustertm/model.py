@@ -50,30 +50,29 @@ class VariationalStats:
     log_std: np.ndarray
 
 
+_CONST_ARRAYS = ("centres", "log_g0", "assignment")
+
+
 @dataclass
 class ModelParams:
+    """A model is one table of named arrays, in `trainable_blocks` order (`enc.*`, `word_emb`,
+    then `topic_emb` or `xi.*` and `log_lambda`), then the modified model's constants
+    `_CONST_ARRAYS`. The encoder's `enc.W1` is (#V, hidden), word-major."""
     kind: str  # "etm" | "modified"
-    word_emb: np.ndarray  # (#V, H)
-    enc: dict  # W1 (#V, hidden), word-major; b1,W2,b2,Wm,bm,Ws,bs
-    topic_emb: np.ndarray | None = None  # (#T, H), baseline only
-    xi: dict | None = None  # W1,b1,W2,b2 of the centre->embedding network
-    log_lambda: np.ndarray | None = None  # (#D,), modified only
-    centres: np.ndarray | None = None  # (#T, R), constant
-    log_g0: np.ndarray | None = None  # (#V,), constant
-    assignment: np.ndarray | None = None  # (#D,) cluster of each document, constant
-    freeze_word_emb: bool = False
+    arrays: dict[str, np.ndarray]
+    freeze_word_emb: bool
 
     @property
     def n_topics(self) -> int:
-        return self.enc["Wm"].shape[0]
+        return self.arrays["enc.Wm"].shape[0]
 
     @property
     def n_vocab(self) -> int:
-        return self.word_emb.shape[0]
+        return self.arrays["word_emb"].shape[0]
 
     @property
     def emb_dim(self) -> int:
-        return self.word_emb.shape[1]
+        return self.arrays["word_emb"].shape[1]
 
 
 def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: int,
@@ -98,22 +97,22 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
     def emb_init(*shape):
         return rng.normal(0.0, 0.3, size=shape)
 
-    enc = {
-        "W1": np.ascontiguousarray(w(hidden, n_vocab).T), "b1": np.zeros(hidden),
-        "W2": w(hidden, hidden), "b2": np.zeros(hidden),
-        "Wm": w(n_topics, hidden), "bm": np.zeros(n_topics),
-        "Ws": w(n_topics, hidden), "bs": np.zeros(n_topics),
+    arrays = {
+        "enc.W1": np.ascontiguousarray(w(hidden, n_vocab).T), "enc.b1": np.zeros(hidden),
+        "enc.W2": w(hidden, hidden), "enc.b2": np.zeros(hidden),
+        "enc.Wm": w(n_topics, hidden), "enc.bm": np.zeros(n_topics),
+        "enc.Ws": w(n_topics, hidden), "enc.bs": np.zeros(n_topics),
     }
     if word_emb is not None:
         if word_emb.shape != (n_vocab, emb_dim):
             raise ModelError(f"pretrained embedding shape {word_emb.shape} != ({n_vocab}, {emb_dim})")
-        word_emb = np.array(word_emb, dtype=float, order="C")
+        arrays["word_emb"] = np.array(word_emb, dtype=float, order="C")
     else:
-        word_emb = emb_init(n_vocab, emb_dim)
+        arrays["word_emb"] = emb_init(n_vocab, emb_dim)
 
     if kind == "etm":
-        return ModelParams(kind, word_emb, enc, topic_emb=emb_init(n_topics, emb_dim),
-                           freeze_word_emb=freeze_word_emb)
+        arrays["topic_emb"] = emb_init(n_topics, emb_dim)
+        return ModelParams(kind, arrays, freeze_word_emb)
 
     if centres is None or log_g0 is None or assignment is None:
         raise ModelError("modified model requires cluster centres, assignment and g0")
@@ -122,14 +121,12 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
     assignment = np.asarray(assignment)
     if assignment.shape != (n_docs,) or ((assignment < 0) | (assignment >= n_topics)).any():
         raise ModelError(f"cluster assignment of shape {assignment.shape} needs {n_docs} ids in [0, {n_topics})")
-    r = centres.shape[1]
-    xi = {"W1": w(emb_dim, r), "b1": np.zeros(emb_dim),
-          "W2": w(emb_dim, emb_dim), "b2": np.zeros(emb_dim)}
-    return ModelParams(kind, word_emb, enc, xi=xi, log_lambda=np.zeros(n_docs),
-                       centres=np.array(centres, dtype=float),
-                       log_g0=np.array(log_g0, dtype=float),
-                       assignment=np.array(assignment, dtype=np.int64),
-                       freeze_word_emb=freeze_word_emb)
+    arrays.update({"xi.W1": w(emb_dim, centres.shape[1]), "xi.b1": np.zeros(emb_dim),
+                   "xi.W2": w(emb_dim, emb_dim), "xi.b2": np.zeros(emb_dim),
+                   "log_lambda": np.zeros(n_docs), "centres": np.array(centres, dtype=float),
+                   "log_g0": np.array(log_g0, dtype=float),
+                   "assignment": np.array(assignment, dtype=np.int64)})
+    return ModelParams(kind, arrays, freeze_word_emb)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +134,12 @@ def init_params(kind: str, n_vocab: int, n_topics: int, emb_dim: int, n_docs: in
 
 def _centre_network(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Tanh layer and output (#T, H) of the centre->embedding network."""
-    c, xi = params.centres, params.xi
-    if c.shape[1] != xi["W1"].shape[1]:
-        raise ModelError(f"centre dim {c.shape[1]} != network input dim {xi['W1'].shape[1]}")
-    h1 = np.tanh(c @ xi["W1"].T + xi["b1"])
-    return h1, h1 @ xi["W2"].T + xi["b2"]
+    arrays = params.arrays
+    c, w1 = arrays["centres"], arrays["xi.W1"]
+    if c.shape[1] != w1.shape[1]:
+        raise ModelError(f"centre dim {c.shape[1]} != network input dim {w1.shape[1]}")
+    h1 = np.tanh(c @ w1.T + arrays["xi.b1"])
+    return h1, h1 @ arrays["xi.W2"].T + arrays["xi.b2"]
 
 
 def topic_embedding_modified(params: ModelParams) -> np.ndarray:
@@ -153,12 +151,13 @@ def topic_embedding_modified(params: ModelParams) -> np.ndarray:
 
 def _topic_side(params: ModelParams):
     """log p(v|t), the topic embeddings and the centre network's tanh layer (None for ETM)."""
+    arrays = params.arrays
     if params.kind == "etm":
-        h1, e_t = None, params.topic_emb
-        logits = e_t @ params.word_emb.T
+        h1, e_t = None, arrays["topic_emb"]
+        logits = e_t @ arrays["word_emb"].T
     else:
         h1, e_t = _centre_network(params)
-        logits = e_t @ params.word_emb.T + params.log_g0[None, :]
+        logits = e_t @ arrays["word_emb"].T + arrays["log_g0"][None, :]
     return logits - _logsumexp(logits)[:, None], e_t, h1
 
 
@@ -173,17 +172,17 @@ def _encoder(params: ModelParams, hist: sp.csr_matrix):
     Each hidden layer's output is z = softplus(a). Once z is taken, the pre-activation a
     is overwritten by sigmoid(a), the derivative of z that the backward pass reads.
     """
-    enc = params.enc
-    s1 = hist @ enc["W1"]
-    s1 += enc["b1"]
+    arrays = params.arrays
+    s1 = hist @ arrays["enc.W1"]
+    s1 += arrays["enc.b1"]
     z1 = _softplus_and_sigmoid(s1)
-    s2 = z1 @ enc["W2"].T
-    s2 += enc["b2"]
+    s2 = z1 @ arrays["enc.W2"].T
+    s2 += arrays["enc.b2"]
     z2 = _softplus_and_sigmoid(s2)
-    mean = z2 @ enc["Wm"].T
-    mean += enc["bm"]
-    log_s = z2 @ enc["Ws"].T
-    log_s += enc["bs"]
+    mean = z2 @ arrays["enc.Wm"].T
+    mean += arrays["enc.bm"]
+    log_s = z2 @ arrays["enc.Ws"].T
+    log_s += arrays["enc.bs"]
     return s1, z1, s2, z2, mean, log_s
 
 
@@ -209,16 +208,10 @@ def _noise(seed: int, n_docs: int, n_topics: int) -> np.ndarray:
 
 
 def trainable_blocks(params: ModelParams) -> dict[str, np.ndarray]:
-    """Flat name -> array view of every trainable parameter block."""
-    blocks = {f"enc.{k}": v for k, v in params.enc.items()}
-    if not params.freeze_word_emb:
-        blocks["word_emb"] = params.word_emb
-    if params.kind == "etm":
-        blocks["topic_emb"] = params.topic_emb
-    else:
-        blocks.update({f"xi.{k}": v for k, v in params.xi.items()})
-        blocks["log_lambda"] = params.log_lambda
-    return blocks
+    """Name -> array of every trainable block: the model's table without its constants,
+    and without `word_emb` when it is frozen."""
+    fixed = _CONST_ARRAYS + (("word_emb",) if params.freeze_word_emb else ())
+    return {name: v for name, v in params.arrays.items() if name not in fixed}
 
 
 class Gradients(Mapping):
@@ -274,7 +267,7 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     pass overwrites the forward values in place and frees each after its last
     use (Chen et al. 2016, section 3), so it runs here, once per forward pass.
     """
-    enc = params.enc
+    arrays = params.arrays
     x = doc_term_matrix(docs, params.n_vocab)
     n_docs, nnz = x.shape[0], x.nnz
     rows = np.repeat(np.arange(n_docs), np.diff(x.indptr))
@@ -293,8 +286,8 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
 
     m0 = np.zeros_like(mean)
     if params.kind == "modified":
-        topic = params.assignment[ids]
-        lam = np.exp(params.log_lambda[ids])
+        topic = arrays["assignment"][ids]
+        lam = np.exp(arrays["log_lambda"][ids])
         m0[np.arange(n_docs), topic] = lam
     elbo = float(x.data @ log_p) - kl_weight * kl_to_prior(VariationalStats(mean, log_s), m0)
     if not with_grad:
@@ -320,14 +313,14 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
     grads["enc.Ws"] = d_log_s.T @ z2
     grads["enc.bs"] = d_log_s.sum(axis=0)
     del z2
-    d_a2 = d_m @ enc["Wm"]  # d_z2, then times the stored sigmoid
-    d_a2 += d_log_s @ enc["Ws"]
+    d_a2 = d_m @ arrays["enc.Wm"]  # d_z2, then times the stored sigmoid
+    d_a2 += d_log_s @ arrays["enc.Ws"]
     d_a2 *= s2
     del s2
     grads["enc.W2"] = d_a2.T @ z1
     grads["enc.b2"] = d_a2.sum(axis=0)
     del z1
-    d_a1 = d_a2 @ enc["W2"]
+    d_a1 = d_a2 @ arrays["enc.W2"]
     del d_a2
     d_a1 *= s1
     del s1
@@ -337,18 +330,17 @@ def _forward(params: ModelParams, docs: list[Document], doc_ids, seed: int,
 
     d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
     if params.kind == "etm":
-        grads["topic_emb"] = d_logits @ params.word_emb
+        grads["topic_emb"] = d_logits @ arrays["word_emb"]
     else:
-        xi = params.xi
-        d_e = d_logits @ params.word_emb
+        d_e = d_logits @ arrays["word_emb"]
         grads["xi.W2"] = d_e.T @ h1
         grads["xi.b2"] = d_e.sum(axis=0)
-        d_a = (d_e @ xi["W2"]) * (1.0 - h1 * h1)
-        grads["xi.W1"] = d_a.T @ params.centres
+        d_a = (d_e @ arrays["xi.W2"]) * (1.0 - h1 * h1)
+        grads["xi.W1"] = d_a.T @ arrays["centres"]
         grads["xi.b1"] = d_a.sum(axis=0)
         grads["log_lambda"] = np.bincount(
             ids, weights=kl_weight * lam * (mean[np.arange(n_docs), topic] - lam),
-            minlength=params.log_lambda.size)
+            minlength=arrays["log_lambda"].size)
     if not params.freeze_word_emb:
         grads["word_emb"] = d_logits.T @ e_t
     return elbo, Gradients({name: grads[name] for name in trainable_blocks(params)}, factors)
@@ -374,17 +366,11 @@ def elbo_and_grad(params: ModelParams, docs: list[Document], doc_ids, seed: int,
 # checkpoints: length-prefixed JSON header + raw float64/int64 buffers in C order,
 # byte-deterministic for identical parameters; the encoder's W1 is stored as (hidden, #V)
 
-_CONST_ARRAYS = ("centres", "log_g0", "assignment")
-
-
 def _all_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    """The arrays a checkpoint stores: the word embeddings, `trainable_blocks` with the
-    encoder's W1 as (hidden, #V), then the constants that are set."""
-    arrays = {"word_emb": params.word_emb, **trainable_blocks(params)}
-    arrays["enc.W1"] = params.enc["W1"].T
-    consts = {name: getattr(params, name) for name in _CONST_ARRAYS}
-    arrays.update({name: v for name, v in consts.items() if v is not None})
-    return arrays
+    """The arrays a checkpoint stores: the word embeddings, then the model's table with
+    the encoder's W1 as (hidden, #V)."""
+    return {"word_emb": params.arrays["word_emb"], **params.arrays,
+            "enc.W1": params.arrays["enc.W1"].T}
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -410,7 +396,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Parameters and header of a checkpoint. A truncated or garbled file, a kind other than
-    etm and modified, or arrays other than those its kind stores raise ModelError."""
+    etm and modified, arrays other than those its kind stores, or an array whose shape
+    disagrees with the others raise ModelError.
+
+    The names, their order and the shapes come from a probe model of the file's kind whose
+    sizes (#V, #T, H, #D, hidden, R) = (2, 3, 5, 7, 11, 13) are distinct, so each dimension
+    of a probe array names one size. The file gives #V by `word_emb`, #T and H by its
+    header, hidden by `enc.b1`, #D by `log_lambda` and R by `centres`."""
     data = Path(path).read_bytes()
     try:
         (hlen,) = struct.unpack_from("<Q", data)
@@ -420,13 +412,23 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         kind, names = meta["kind"], [spec["name"] for spec in meta["arrays"]]
         if kind not in ("etm", "modified"):
             raise ModelError(f"{path}: unknown model kind {kind!r}")
-        # the names do not depend on the sizes: take them from a model of size 1
-        expected = list(_all_arrays(init_params(kind, 1, 1, 1, 1, 1, centres=np.zeros((1, 1)),
-                                                log_g0=np.zeros(1), assignment=[0])))
-        if names != expected:
+        probe = init_params(kind, 2, 3, 5, 7, 11, centres=np.zeros((3, 13)), log_g0=np.zeros(2),
+                            assignment=np.zeros(7, dtype=np.int64))
+        expected = _all_arrays(probe)
+        if names != list(expected):
             raise ModelError(f"{path}: not the arrays of a {kind} checkpoint (missing "
                              f"{[n for n in expected if n not in names]}, unexpected "
                              f"{[n for n in names if n not in expected]})")
+        shapes = {spec["name"]: tuple(spec["shape"]) for spec in meta["arrays"]}
+        size = {2: shapes["word_emb"][0], 3: meta["n_topics"], 5: meta["emb_dim"],
+                11: shapes["enc.b1"][0]}
+        if kind == "modified":
+            size.update({7: shapes["log_lambda"][0], 13: shapes["centres"][1]})
+        for name, arr in expected.items():
+            want = tuple(size[n] for n in arr.shape)
+            if shapes[name] != want:
+                raise ModelError(f"{path}: array {name!r} has shape {list(shapes[name])}, "
+                                 f"expected {list(want)} from the checkpoint's sizes")
         arrays, offset = {}, 8 + hlen
         for spec in meta["arrays"]:
             shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
@@ -434,15 +436,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             arr = np.frombuffer(data, dtype, count, offset).reshape(shape)
             arrays[spec["name"]] = arr.T.copy() if spec["name"] == "enc.W1" else arr.copy()
             offset += count * dtype.itemsize
-        enc = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("enc.")}
-        xi = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("xi.")} or None
-        params = ModelParams(
-            meta["kind"], arrays["word_emb"], enc,
-            topic_emb=arrays.get("topic_emb"), xi=xi,
-            log_lambda=arrays.get("log_lambda"), centres=arrays.get("centres"),
-            log_g0=arrays.get("log_g0"), assignment=arrays.get("assignment"),
-            freeze_word_emb=bool(meta["freeze_word_emb"]),
-        )
-    except (struct.error, ValueError, KeyError, TypeError) as e:
+        params = ModelParams(kind, {name: arrays[name] for name in probe.arrays},
+                             bool(meta["freeze_word_emb"]))
+    except (struct.error, ValueError, KeyError, TypeError, IndexError) as e:
         raise ModelError(f"{path}: truncated or malformed checkpoint ({e!r})") from e
     return params, meta

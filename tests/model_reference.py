@@ -32,17 +32,17 @@ def sigmoid(a):
 
 def reference_encoder(params: ModelParams, hist: sp.csr_matrix):
     """(a1, z1, a2, z2, mean, log_std) of the encoder on a CSR batch of L1-normalized counts."""
-    enc = params.enc
-    a1 = hist @ enc["W1"] + enc["b1"]
+    p = params.arrays
+    a1 = hist @ p["enc.W1"] + p["enc.b1"]
     z1 = softplus(a1)
-    a2 = z1 @ enc["W2"].T + enc["b2"]
+    a2 = z1 @ p["enc.W2"].T + p["enc.b2"]
     z2 = softplus(a2)
-    return a1, z1, a2, z2, z2 @ enc["Wm"].T + enc["bm"], z2 @ enc["Ws"].T + enc["bs"]
+    return a1, z1, a2, z2, z2 @ p["enc.Wm"].T + p["enc.bm"], z2 @ p["enc.Ws"].T + p["enc.bs"]
 
 
 def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: float):
     """The ELBO and a closure that computes its gradients from the cached values."""
-    enc = params.enc
+    p = params.arrays
     x = doc_term_matrix(docs, params.n_vocab)
     n_docs, nnz = x.shape[0], x.nnz
     rows = np.repeat(np.arange(n_docs), np.diff(x.indptr))
@@ -61,8 +61,8 @@ def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: 
 
     m0 = np.zeros_like(mean)
     if params.kind == "modified":
-        topic = params.assignment[ids]
-        lam = np.exp(params.log_lambda[ids])
+        topic = p["assignment"][ids]
+        lam = np.exp(p["log_lambda"][ids])
         m0[np.arange(n_docs), topic] = lam
     elbo = float(x.data @ log_p) - kl_weight * kl_to_prior(VariationalStats(mean, log_s), m0)
 
@@ -76,7 +76,7 @@ def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: 
         d_m = d_xtil + kl_weight * (m0 - mean)
         d_log_s = d_xtil * s * eps + kl_weight * (1.0 - s * s)
         grads = {}
-        d_z2 = d_m @ enc["Wm"] + d_log_s @ enc["Ws"]
+        d_z2 = d_m @ p["enc.Wm"] + d_log_s @ p["enc.Ws"]
         grads["enc.Wm"] = d_m.T @ z2
         grads["enc.bm"] = d_m.sum(axis=0)
         grads["enc.Ws"] = d_log_s.T @ z2
@@ -84,24 +84,23 @@ def reference_forward(params: ModelParams, docs, doc_ids, seed: int, kl_weight: 
         d_a2 = d_z2 * sigmoid(a2)
         grads["enc.W2"] = d_a2.T @ z1
         grads["enc.b2"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ enc["W2"]) * sigmoid(a1)
+        d_a1 = (d_a2 @ p["enc.W2"]) * sigmoid(a1)
         grads["enc.W1"] = hist.T @ d_a1
         grads["enc.b1"] = d_a1.sum(axis=0)
 
         d_logits = r_word.T - np.exp(log_beta) * r.sum(axis=0)[:, None]
         if params.kind == "etm":
-            grads["topic_emb"] = d_logits @ params.word_emb
+            grads["topic_emb"] = d_logits @ p["word_emb"]
         else:
-            xi = params.xi
-            d_e = d_logits @ params.word_emb
+            d_e = d_logits @ p["word_emb"]
             grads["xi.W2"] = d_e.T @ h1
             grads["xi.b2"] = d_e.sum(axis=0)
-            d_a = (d_e @ xi["W2"]) * (1.0 - h1 * h1)
-            grads["xi.W1"] = d_a.T @ params.centres
+            d_a = (d_e @ p["xi.W2"]) * (1.0 - h1 * h1)
+            grads["xi.W1"] = d_a.T @ p["centres"]
             grads["xi.b1"] = d_a.sum(axis=0)
             grads["log_lambda"] = np.bincount(
                 ids, weights=kl_weight * lam * (mean[np.arange(n_docs), topic] - lam),
-                minlength=params.log_lambda.size)
+                minlength=p["log_lambda"].size)
         if not params.freeze_word_emb:
             grads["word_emb"] = d_logits.T @ e_t
         return {name: grads[name] for name in trainable_blocks(params)}

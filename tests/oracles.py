@@ -20,7 +20,7 @@ from clustertm.sgns import SgnsError, _sigmoid
 def prior_mean(params: ModelParams, doc_id: int) -> np.ndarray:
     m0 = np.zeros(params.n_topics)
     if params.kind == "modified":
-        m0[params.assignment[doc_id]] = np.exp(params.log_lambda[doc_id])
+        m0[params.arrays["assignment"][doc_id]] = np.exp(params.arrays["log_lambda"][doc_id])
     return m0
 
 

@@ -294,6 +294,7 @@ def test_load_clusters_rejects_ids_that_are_not_integers(tmp_path, bad):
     ("centres", 3.0, "centres must be a 2-D array, got shape ()"),
     ("assignment", [[0, 1], [1, 0]], "assignment must be a 1-D list, got shape (2, 2)"),
     ("assignment", "01", "assignment must be a 1-D list, got shape ()"),
+    ("centres", [[], [], []], "centres must have at least one column, got shape (3, 0)"),
 ])
 def test_load_clusters_rejects_centres_or_assignment_of_another_shape(tmp_path, field, value,
                                                                       named):

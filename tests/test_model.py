@@ -43,22 +43,22 @@ def random_docs(n_docs=5, n_vocab=20, seed=0):
 
 def test_topic_word_dist_zero_topic_vector_is_uniform():
     p = etm_params()
-    p.topic_emb[0] = 0.0
+    p.arrays["topic_emb"][0] = 0.0
     dist = np.exp(model.log_topic_word_matrix(p)[0])
     assert np.allclose(dist, 1.0 / p.n_vocab, atol=1e-12)
 
 
 def test_topic_word_dist_hand_softmax():
     p = etm_params(n_vocab=2, emb_dim=1)
-    p.word_emb[:] = [[0.0], [np.log(3.0)]]
-    p.topic_emb[0] = [1.0]  # logits (0, ln 3)
+    p.arrays["word_emb"][:] = [[0.0], [np.log(3.0)]]
+    p.arrays["topic_emb"][0] = [1.0]  # logits (0, ln 3)
     assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), [0.25, 0.75], atol=1e-12)
 
 
 def test_topic_word_dist_shift_invariant():
     p = etm_params(emb_dim=3)
     base = np.exp(model.log_topic_word_matrix(p)[1])
-    p.word_emb += 1.0  # adds topic_emb[1].sum() to every logit of topic 1
+    p.arrays["word_emb"] += 1.0  # adds topic_emb[1].sum() to every logit of topic 1
     shifted = np.exp(model.log_topic_word_matrix(p)[1])
     assert np.allclose(base, shifted, atol=1e-9)
 
@@ -75,19 +75,21 @@ def test_topic_word_dist_is_probability_vector():
 
 def test_topic_embedding_modified_zero_final_layer():
     p = modified_params()
-    p.xi["W2"][:] = 0.0
-    p.xi["b2"][:] = 0.0
+    p.arrays["xi.W2"][:] = 0.0
+    p.arrays["xi.b2"][:] = 0.0
     emb = model.topic_embedding_modified(p)
     assert np.abs(emb).max() == 0.0
     for t in range(p.n_topics):
-        assert np.abs(np.exp(model.log_topic_word_matrix(p)[t]) - np.exp(p.log_g0)).max() < 1e-12
+        assert np.abs(np.exp(model.log_topic_word_matrix(p)[t])
+                      - np.exp(p.arrays["log_g0"])).max() < 1e-12
 
 
 def test_topic_embedding_modified_permutes_with_centres():
     p = modified_params()
     perm = [2, 0, 1]
     base = model.topic_embedding_modified(p)
-    permuted = model.topic_embedding_modified(dataclasses.replace(p, centres=p.centres[perm]))
+    permuted = model.topic_embedding_modified(
+        dataclasses.replace(p, arrays={**p.arrays, "centres": p.arrays["centres"][perm]}))
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -95,14 +97,14 @@ def test_topic_embedding_modified_dim_mismatch():
     p = modified_params()
     with pytest.raises(model.ModelError):
         model.topic_embedding_modified(
-            dataclasses.replace(p, centres=np.zeros((3, p.emb_dim + 1))))
+            dataclasses.replace(p, arrays={**p.arrays, "centres": np.zeros((3, p.emb_dim + 1))}))
 
 
 def test_modified_word_dist_uniform_g0_equals_etm_form():
     p = modified_params(n_vocab=6)
-    p.log_g0 = np.full(6, np.log(1.0 / 6))
+    p.arrays["log_g0"] = np.full(6, np.log(1.0 / 6))
     e_t = model.topic_embedding_modified(p)
-    logits = e_t[0] @ p.word_emb.T
+    logits = e_t[0] @ p.arrays["word_emb"].T
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
     assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), expected, atol=1e-12)
@@ -111,12 +113,12 @@ def test_modified_word_dist_uniform_g0_equals_etm_form():
 def test_modified_word_dist_hand_computation():
     # logits (0, ln 3) with G0=(3/4, 1/4): (3/4, 3/4) normalized -> (1/2, 1/2)
     p = modified_params(n_vocab=2, emb_dim=1)
-    p.word_emb[:] = [[0.0], [1.0]]
-    p.xi["W1"][:] = 0.0
-    p.xi["b1"][:] = 0.0
-    p.xi["W2"][:] = 0.0
-    p.xi["b2"][:] = [np.log(3.0)]
-    p.log_g0 = np.log([0.75, 0.25])
+    p.arrays["word_emb"][:] = [[0.0], [1.0]]
+    p.arrays["xi.W1"][:] = 0.0
+    p.arrays["xi.b1"][:] = 0.0
+    p.arrays["xi.W2"][:] = 0.0
+    p.arrays["xi.b2"][:] = [np.log(3.0)]
+    p.arrays["log_g0"] = np.log([0.75, 0.25])
     assert np.allclose(np.exp(model.log_topic_word_matrix(p)[0]), [0.5, 0.5], atol=1e-12)
 
 
@@ -128,14 +130,15 @@ def test_topic_embedding_modified_requires_modified_kind():
 # ------------------------------------------------------------------ encoder
 
 def zero_encoder(p):
-    for k in p.enc:
-        p.enc[k][:] = 0.0
+    for k, v in p.arrays.items():
+        if k.startswith("enc."):
+            v[:] = 0.0
     return p
 
 
 def test_encoder_first_layer_is_word_major_transpose_of_its_draw():
     p = etm_params(n_vocab=20, hidden=5, seed=3)
-    w1 = p.enc["W1"]
+    w1 = p.arrays["enc.W1"]
     assert w1.shape == (20, 5) and w1.flags.c_contiguous
     # the first draw of the seeded stream, in the (hidden, #V) layout of the checkpoint
     assert np.array_equal(w1, np.random.default_rng(3).normal(0.0, 0.02, (5, 20)).T)
@@ -253,7 +256,7 @@ def test_doc_log_likelihood_single_topic():
 
 def test_doc_log_likelihood_uniform_topics():
     p = etm_params(n_vocab=10)
-    p.topic_emb[:] = 0.0
+    p.arrays["topic_emb"][:] = 0.0
     doc = Document(tokens=[1, 2, 3, 4])
     value = oracles.doc_log_likelihood(p, doc, np.array([0.5, -1.0, 2.0]))
     assert abs(value - 4 * np.log(0.1)) < 1e-12
@@ -356,8 +359,8 @@ def test_grad_log_lambda_closed_form():
     _, grads = model.elbo_and_grad(p, docs, range(5), seed=seed)
     for d, doc in enumerate(docs):
         m = model.encode(p, doc).mean
-        lam = np.exp(p.log_lambda[d])
-        expected = lam * (m[p.assignment[d]] - lam)
+        lam = np.exp(p.arrays["log_lambda"][d])
+        expected = lam * (m[p.arrays["assignment"][d]] - lam)
         assert abs(grads["log_lambda"][d] - expected) < 1e-10
 
 
@@ -367,7 +370,7 @@ def test_elbo_and_grad_finite_with_unseen_zero_frequency_word():
     p = modified_params(n_vocab=6, seed=16)
     g0 = np.array([0.0, 0.3, 0.2, 0.2, 0.2, 0.1])
     with np.errstate(divide="ignore"):
-        p.log_g0 = np.log(g0)
+        p.arrays["log_g0"] = np.log(g0)
     docs = [Document(tokens=[1, 2, 2, 5]), Document(tokens=[3, 4, 1])]
     value, grads = model.elbo_and_grad(p, docs, [0, 1], seed=4)
     assert np.isfinite(value)
@@ -465,7 +468,7 @@ def test_top_words_full_vocabulary_sorted():
 
 def test_top_words_tie_break_by_id():
     p = etm_params()
-    p.topic_emb[0] = 0.0  # uniform distribution
+    p.arrays["topic_emb"][0] = 0.0  # uniform distribution
     topic_word = np.exp(model.log_topic_word_matrix(p))
     pairs = metrics.top_words_from_matrix(topic_word, 4)[0]
     assert [w for w, _ in pairs] == [0, 1, 2, 3]
@@ -497,9 +500,10 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
 def _hand_built_checkpoint(p):
     """Checkpoint bytes of ETM parameters, written without `save_checkpoint`: every
     array C-ordered after the header, with the encoder's W1 as (hidden, #V)."""
-    arrays = {"word_emb": p.word_emb, **{f"enc.{k}": v for k, v in p.enc.items()},
-              "topic_emb": p.topic_emb}
-    arrays["enc.W1"] = np.ascontiguousarray(p.enc["W1"].T)
+    arrays = {"word_emb": p.arrays["word_emb"],
+              **{k: v for k, v in p.arrays.items() if k.startswith("enc.")},
+              "topic_emb": p.arrays["topic_emb"]}
+    arrays["enc.W1"] = np.ascontiguousarray(p.arrays["enc.W1"].T)
     header = json.dumps({
         "format": "clustertm-ckpt-v1", "kind": "etm", "n_topics": p.n_topics,
         "emb_dim": p.emb_dim, "freeze_word_emb": False,
@@ -514,8 +518,8 @@ def test_checkpoint_stores_encoder_first_layer_as_hidden_by_vocab(tmp_path):
     path.write_bytes(_hand_built_checkpoint(p))
     back, meta = model.load_checkpoint(path)
     assert {"name": "enc.W1", "shape": [5, 20], "dtype": "float64"} in meta["arrays"]
-    assert back.enc["W1"].flags.c_contiguous
-    assert np.array_equal(back.enc["W1"], p.enc["W1"])
+    assert back.arrays["enc.W1"].flags.c_contiguous
+    assert np.array_equal(back.arrays["enc.W1"], p.arrays["enc.W1"])
     doc = Document(tokens=[0, 4, 4, 19])
     assert np.array_equal(model.encode(back, doc).mean, model.encode(p, doc).mean)
     saved = tmp_path / "saved.ckpt"
@@ -550,9 +554,10 @@ def test_load_checkpoint_rejects_damaged_file(tmp_path):
         assert "\n" not in str(err.value), what
 
 
-def _rewritten_checkpoint(p, path, kind=None, drop=(), extra=None):
+def _rewritten_checkpoint(p, path, kind=None, drop=(), extra=None, replace=None):
     """`p` saved to `path`, then written again by hand with the header kind `kind`, without
-    the arrays named in `drop` and with the arrays in `extra` appended."""
+    the arrays named in `drop`, with the arrays in `replace` in place of those of the same
+    name and with the arrays in `extra` appended."""
     model.save_checkpoint(p, path)
     data = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", data)
@@ -560,7 +565,11 @@ def _rewritten_checkpoint(p, path, kind=None, drop=(), extra=None):
     specs, chunks, offset = [], [], 8 + hlen
     for spec in header["arrays"]:
         size = 8 * int(np.prod(spec["shape"]))  # float64 and int64 alike
-        if spec["name"] not in drop:
+        if spec["name"] in (replace or {}):
+            arr = replace[spec["name"]]
+            specs.append({**spec, "shape": list(arr.shape)})
+            chunks.append(arr.tobytes())
+        elif spec["name"] not in drop:
             specs.append(spec)
             chunks.append(data[offset : offset + size])
         offset += size
@@ -577,7 +586,16 @@ def _rewritten_checkpoint(p, path, kind=None, drop=(), extra=None):
     (etm_params, dict(drop=("topic_emb",)), "missing ['topic_emb']"),
     (modified_params, dict(drop=("xi.W1",)), "missing ['xi.W1']"),
     (etm_params, dict(extra={"enc.W3": np.ones((5, 5))}), "unexpected ['enc.W3']"),
-], ids=["kind lda", "etm without topic_emb", "modified without xi.W1", "etm with an extra array"])
+    # the sizes come from word_emb, enc.b1, log_lambda, centres and the header; every other
+    # array must have its shape in them
+    (etm_params, dict(replace={"topic_emb": np.ones((4, 3))}),
+     "array 'topic_emb' has shape [4, 3], expected [3, 4]"),
+    (modified_params, dict(replace={"centres": np.ones((3, 5))}),
+     "array 'xi.W1' has shape [4, 4], expected [4, 5]"),
+    (modified_params, dict(replace={"log_lambda": np.ones(6)}),
+     "array 'assignment' has shape [5], expected [6]"),
+], ids=["kind lda", "etm without topic_emb", "modified without xi.W1", "etm with an extra array",
+        "transposed topic_emb", "centres wider than xi.W1", "log_lambda longer than assignment"])
 def test_load_checkpoint_rejects_another_kind_or_other_arrays(tmp_path, params, edit, message):
     path = tmp_path / "edited.ckpt"
     _rewritten_checkpoint(params(seed=23), path, **edit)
