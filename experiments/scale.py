@@ -2,10 +2,11 @@
 
 Generates corpora of the benchmark's `wide-vocab` shape (20 planted topics of
 250 words each, flat Zipf, 10-30 tokens per document) with
-`bench/corpus_gen.generate`, and at each size times `preprocess`, one SGNS
-epoch (dim 50) at the default subsample and at 1e-3, `vectorize_documents`
-(TF-IDF), `kmeans` (k=20, 2 restarts), one ETM epoch and one epoch of the
-modified model on that k-means (k = 20 topics). The SGNS epochs, `kmeans` and
+`bench/corpus_gen.generate`, and at each size times `preprocess`, `load_corpus`
+of the corpus that `save_corpus` wrote (`corpus_load_s`), one SGNS epoch
+(dim 50) at the default subsample and at 1e-3, `vectorize_documents` (TF-IDF),
+`kmeans` (k=20, 2 restarts), one ETM epoch and one epoch of the modified model
+on that k-means (k = 20 topics). `preprocess`, the SGNS epochs, `kmeans` and
 each training epoch run twice: once timed, once under tracemalloc for the peak
 traced memory. Each `sgns_*` entry maps the subsample setting to its value;
 `sgns_tokens_per_s` counts every token read, kept or not. `kmeans` runs twice
@@ -25,6 +26,7 @@ import dataclasses
 import json
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -69,7 +71,13 @@ def measure(n_docs: int) -> dict:
     stop = corpus.default_stopwords()
     planted = corpus_gen.generate(SEED, n_docs=n_docs, exclude=stop, **SHAPE)
     texts = [" ".join(planted.words[v] for v in doc) + "." for doc in planted.docs]
-    docs, prep_s = timed(corpus.preprocess, texts, corpus.PreprocessOptions(min_freq=1))
+    docs, prep_s, prep_peak = timed_and_traced(corpus.preprocess, texts,
+                                               corpus.PreprocessOptions(min_freq=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        corpus.save_corpus(docs, path)
+        loaded, load_s = timed(corpus.load_corpus, path)
+    assert loaded == docs
     sgns_s, sgns_peak = {}, {}
     for subsample in SGNS_SUBSAMPLES:
         _, sgns_s[str(subsample)], sgns_peak[str(subsample)] = timed_and_traced(
@@ -88,7 +96,8 @@ def measure(n_docs: int) -> dict:
         "docs": docs.n_docs, "vocab": docs.vocab_size,
         "tfidf_nonzero_share": nnz / (docs.n_docs * docs.vocab_size),
         "dense_tfidf_mb": docs.n_docs * docs.vocab_size * 8 / 2**20,
-        "preprocess_s": prep_s, "sgns_epoch_s": sgns_s,
+        "preprocess_s": prep_s, "preprocess_peak_mb": prep_peak / 2**20,
+        "corpus_load_s": load_s, "sgns_epoch_s": sgns_s,
         "sgns_tokens_per_s": {key: docs.total_tokens / s for key, s in sgns_s.items()},
         "sgns_peak_mb": {key: peak / 2**20 for key, peak in sgns_peak.items()},
         "vectorize_s": vec_s,

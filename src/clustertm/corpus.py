@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -71,6 +71,9 @@ class PreprocessOptions:
     stopwords: set[str] | None = None  # None -> bundled list
     lemma: dict[str, str] | None = None
 
+    def __post_init__(self):
+        check_int(CorpusError, "min_freq", self.min_freq, 1)
+
 
 @dataclass
 class Vocabulary:
@@ -102,17 +105,24 @@ class Document:
 def doc_term_matrix(documents: list[Document], n_vocab: int) -> sp.csr_matrix:
     """(#docs, n_vocab) float64 token counts, CSR with sorted column indices.
 
-    The only place token lists become counts. Ids outside [0, n_vocab) raise
-    CorpusError.
+    The only place token lists become counts. The distinct keys row * n_vocab + id, in
+    sorted order, give the columns row by row, and their multiplicities the counts. Ids
+    outside [0, n_vocab) raise CorpusError.
     """
     lengths = [len(d.tokens) for d in documents]
-    ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in documents),
-                      dtype=np.int64, count=sum(lengths))
+    try:
+        ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in documents),
+                          dtype=np.int64, count=sum(lengths))
+    except OverflowError as e:  # an id beyond int64
+        raise CorpusError(f"token id outside vocabulary of size {n_vocab} ({e})") from e
     bad = ids[(ids < 0) | (ids >= n_vocab)]
     if bad.size:
         raise CorpusError(f"token id {bad[0]} outside vocabulary of size {n_vocab}")
-    rows = np.repeat(np.arange(len(documents)), lengths)
-    return sp.csr_matrix((np.ones(ids.size), (rows, ids)), shape=(len(documents), n_vocab))
+    keys, counts = np.unique(np.repeat(np.arange(len(documents)) * n_vocab, lengths) + ids,
+                             return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(len(documents) + 1) * n_vocab)
+    return sp.csr_matrix((counts, keys % n_vocab, indptr), shape=(len(documents), n_vocab),
+                         dtype=np.float64)
 
 
 @dataclass
@@ -169,7 +179,8 @@ def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) ->
 
     Pipeline: lowercase/tokenize, optional lemma lookup, stopword removal,
     corpus-frequency filter, drop emptied documents, build vocabulary and
-    background frequencies. Dropped-document count is logged.
+    background frequencies. Dropped-document count is logged. Each distinct raw
+    token is cleaned once; numpy counts, filters and renumbers the term ids.
     """
     options = options or PreprocessOptions()
     if not raw_docs:
@@ -177,30 +188,39 @@ def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) ->
     stop = options.stopwords if options.stopwords is not None else default_stopwords()
     lemma = options.lemma or {}
 
-    kept_as: dict[str, str | None] = {}  # raw token -> token after lemma and stopwords, or None
-    token_docs = []
-    for text in raw_docs:
+    terms: dict[str, int] = {}  # kept token -> provisional term id, in the order first seen
+    lengths: list[int] = []  # raw tokens per document
+
+    @functools.cache  # each distinct raw token is cleaned once
+    def term_id(raw: str) -> int:  # -1 for a stopword or a token that cleans to nothing
+        tok = _clean(raw)
+        tok = lemma.get(tok, tok) if tok else None
+        return -1 if tok is None or tok in stop else terms.setdefault(tok, len(terms))
+
+    def split(text: str) -> list[str]:
         raws = text.lower().split()
-        for raw in set(raws).difference(kept_as):
-            tok = _clean(raw)
-            tok = lemma.get(tok, tok) if tok else None
-            kept_as[raw] = None if tok in stop else tok
-        token_docs.append([kept_as[raw] for raw in raws if kept_as[raw] is not None])
+        lengths.append(len(raws))
+        return raws
 
-    freq = Counter(t for toks in token_docs for t in toks)
-    kept = {w for w, c in freq.items() if c >= options.min_freq}
-    token_docs = [[t for t in toks if t in kept] for toks in token_docs]
+    tokens = itertools.chain.from_iterable(map(split, raw_docs))
+    ids = np.fromiter(map(term_id, tokens), dtype=np.int64)
+    freq = np.bincount(ids[ids >= 0], minlength=len(terms))
+    words = sorted(w for w, c in zip(terms, freq.tolist()) if c >= options.min_freq)
+    renumber = np.full(len(terms) + 1, -1)  # the last slot keeps a dropped token's -1
+    renumber[[terms[w] for w in words]] = np.arange(len(words))
+    ids = renumber[ids]
+    kept = ids >= 0
+    bounds = np.concatenate(([0], np.cumsum(kept)))[np.cumsum([0] + lengths)].tolist()
+    flat = np.array(range(len(words)), dtype=object)[ids[kept]].tolist()  # one int per word
+    documents = [Document(flat[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    del ids, kept, flat  # freed before doc_term_matrix builds its arrays
 
-    n_dropped = sum(1 for toks in token_docs if not toks)
+    n_dropped = len(raw_docs) - len(documents)
     if n_dropped:
         logger.info("preprocess: dropped %d empty documents", n_dropped)
-    token_docs = [toks for toks in token_docs if toks]
-    if not token_docs:
+    if not documents:
         raise CorpusError("all documents were filtered out")
-
-    vocab = Vocabulary(sorted(kept))
-    documents = [Document([vocab.index[t] for t in toks]) for toks in token_docs]
-    return Corpus(documents, vocab)
+    return Corpus(documents, Vocabulary(words))
 
 
 def read_texts(path) -> list[str]:
@@ -239,14 +259,13 @@ def load_corpus(path) -> Corpus:
         words = payload["vocab"]
         if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
             raise CorpusError(f"{path}: vocab must be a list of strings, got {words!r:.60}")
-        vocab = Vocabulary(words)
         docs = [Document(list(toks)) for toks in payload["docs"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e
     bad = [t for d in docs for t in d.tokens if type(t) is not int]  # bool is not int here
     if bad:
         raise CorpusError(f"{path}: token id {bad[0]!r} is not an integer")
     try:
-        return Corpus(docs, vocab)
+        return Corpus(docs, Vocabulary(words))
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e

@@ -396,12 +396,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Parameters and header of a checkpoint. A truncated or garbled file, a kind other than
-    etm and modified, arrays other than those its kind stores, or an array whose shape
-    disagrees with the others raise ModelError.
+    etm and modified, arrays other than those its kind stores, an array whose shape
+    disagrees with the others or whose dtype is not its kind's, or bytes after the last
+    array raise ModelError.
 
-    The names, their order and the shapes come from a probe model of the file's kind whose
-    sizes (#V, #T, H, #D, hidden, R) = (2, 3, 5, 7, 11, 13) are distinct, so each dimension
-    of a probe array names one size. The file gives #V by `word_emb`, #T and H by its
+    The names, their order, the shapes and the dtypes come from a probe model of the file's
+    kind whose sizes (#V, #T, H, #D, hidden, R) = (2, 3, 5, 7, 11, 13) are distinct, so each
+    dimension of a probe array names one size. The file gives #V by `word_emb`, #T and H by its
     header, hidden by `enc.b1`, #D by `log_lambda` and R by `centres`."""
     data = Path(path).read_bytes()
     try:
@@ -420,6 +421,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                              f"{[n for n in expected if n not in names]}, unexpected "
                              f"{[n for n in names if n not in expected]})")
         shapes = {spec["name"]: tuple(spec["shape"]) for spec in meta["arrays"]}
+        dtypes = {spec["name"]: np.dtype(spec["dtype"]) for spec in meta["arrays"]}
         size = {2: shapes["word_emb"][0], 3: meta["n_topics"], 5: meta["emb_dim"],
                 11: shapes["enc.b1"][0]}
         if kind == "modified":
@@ -429,13 +431,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             if shapes[name] != want:
                 raise ModelError(f"{path}: array {name!r} has shape {list(shapes[name])}, "
                                  f"expected {list(want)} from the checkpoint's sizes")
+            if dtypes[name] != arr.dtype:
+                raise ModelError(f"{path}: array {name!r} has dtype {dtypes[name]}, "
+                                 f"expected {arr.dtype}")
         arrays, offset = {}, 8 + hlen
         for spec in meta["arrays"]:
-            shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
+            shape, dtype = tuple(spec["shape"]), dtypes[spec["name"]]
             count = int(np.prod(shape))
             arr = np.frombuffer(data, dtype, count, offset).reshape(shape)
             arrays[spec["name"]] = arr.T.copy() if spec["name"] == "enc.W1" else arr.copy()
             offset += count * dtype.itemsize
+        if offset != len(data):
+            raise ModelError(f"{path}: {len(data) - offset} bytes after the last array")
         params = ModelParams(kind, {name: arrays[name] for name in probe.arrays},
                              bool(meta["freeze_word_emb"]))
     except (struct.error, ValueError, KeyError, TypeError, IndexError) as e:

@@ -107,6 +107,14 @@ def test_preprocess_writes_corpus_and_manifest(texts_dir, tmp_path):
     assert manifest["inputs"]  # hashed input files
 
 
+def test_preprocess_rejects_min_freq_below_one(texts_dir, tmp_path, capsys):
+    out = tmp_path / "corpus.json"
+    assert run(["preprocess", texts_dir, out, "--min-freq", 0]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: CorpusError: min_freq must be an integer >= 1, got 0"]
+    assert not out.exists()
+
+
 def test_train_modified_without_clusters_fails_cleanly(texts_dir, tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     run(["preprocess", texts_dir, corpus, "--min-freq", 1])

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,38 @@ def test_preprocess_matches_token_by_token_tokenize(texts, stop, lemma, min_freq
     corpus = preprocess(texts, options)
     assert corpus.vocabulary.words == sorted({t for doc in want for t in doc})
     assert [[corpus.vocabulary.words[i] for i in d.tokens] for d in corpus.documents] == want
+
+
+def test_preprocess_matches_token_by_token_tokenize_on_a_large_corpus():
+    """1000 documents over 400 Zipf-weighted words, some capitalised or punctuated, with
+    noise tokens, stopwords, a lemma table and min_freq 5, so that rare words are
+    filtered and some documents empty."""
+    rng = np.random.default_rng(11)
+    words = sorted({"".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=rng.integers(2, 7)))
+                    for _ in range(400)})
+    noise = ["The", "of", "A", "and", "r2d2", "1999", "--", "...", "(x)", "e.g."]
+    raw = words + noise
+    weights = 1.0 / np.arange(1, len(raw) + 1)
+    forms = ["{}", "{},", "({})", "{}!", "'{}'", "{}.", "{}s"]
+    texts = []
+    for n in rng.integers(0, 30, size=1000):
+        toks = [forms[f].format(raw[i]) for i, f in
+                zip(rng.choice(len(raw), size=n, p=weights / weights.sum()),
+                    rng.integers(0, len(forms), size=n))]
+        texts.append(" ".join(t.upper() if rng.random() < 0.1 else t for t in toks))
+    stop = {"the", "of", "a", "and", *words[:5]}
+    lemma = {w + "s": w for w in words[::3]} | {words[7]: words[8]}
+    want = token_by_token(texts, stop, lemma, 5)
+    assert 0 < len(want) < 1000
+    corpus = preprocess(texts, PreprocessOptions(min_freq=5, stopwords=stop, lemma=lemma))
+    assert corpus.vocabulary.words == sorted({t for doc in want for t in doc})
+    assert [[corpus.vocabulary.words[i] for i in d.tokens] for d in corpus.documents] == want
+
+
+@pytest.mark.parametrize("min_freq", ["5", 2.5, True, 0, None])
+def test_preprocess_options_take_min_freq_as_an_integer_of_at_least_one(min_freq):
+    with pytest.raises(CorpusError, match=f"min_freq must be an integer >= 1, got {min_freq!r}"):
+        PreprocessOptions(min_freq=min_freq)
 
 
 def test_preprocess_single_token_corpus():
@@ -132,6 +165,21 @@ def test_doc_term_matrix_rejects_ids_outside_vocabulary():
             doc_term_matrix([Document(bad)], 3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000).flatmap(lambda v: st.tuples(st.just(v), st.lists(
+    st.lists(st.integers(0, min(v - 1, 4)) | st.integers(0, v - 1), max_size=8), max_size=12))))
+def test_doc_term_matrix_matches_scipy_coo_construction(case):
+    n_vocab, docs = case
+    got = doc_term_matrix([Document(d) for d in docs], n_vocab)
+    rows = np.repeat(np.arange(len(docs)), [len(d) for d in docs])
+    ids = np.array([t for d in docs for t in d], dtype=np.int64)
+    want = sp.csr_matrix((np.ones(ids.size), (rows, ids)), shape=(len(docs), n_vocab))
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_corpus_roundtrip(tmp_path):
     corpus = make_corpus([[0, 1, 1], [2, 0]])
     path = tmp_path / "corpus.json"
@@ -186,6 +234,72 @@ def test_load_corpus_rejects_vocab_that_is_not_a_list_of_strings(tmp_path, vocab
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"vocab": vocab, "docs": [[0, 1], [1]]}), "utf-8")
     with pytest.raises(CorpusError, match="vocab must be a list of strings") as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
+def test_load_corpus_names_the_file_for_a_repeated_word(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": ["a", "a"], "docs": [[0, 1]]}), "utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: duplicate words in vocabulary"
+
+
+def test_load_corpus_rejects_a_token_id_beyond_int64(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"vocab": ["a", "b"], "docs": [[0, 2**64]]}), "utf-8")
+    with pytest.raises(CorpusError, match="token id outside vocabulary of size 2") as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
+def test_load_corpus_names_the_file_for_json_nested_too_deep_to_parse(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, "utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert str(err.value).startswith(f"{path}: malformed corpus file")
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+TOKEN_IDS = (st.integers(-2, 4) | st.integers() | st.booleans() | st.floats() | st.text(max_size=2)
+             | st.lists(st.integers(0, 2), max_size=2) | st.none())
+CORPUS_FILES = st.fixed_dictionaries({}, optional={
+    "vocab": st.lists(st.sampled_from("abcd"), min_size=3, max_size=4, unique=True)
+    | st.lists(st.sampled_from("abcd"), max_size=5) | JSON,
+    "docs": st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4)
+                     | st.lists(TOKEN_IDS, max_size=4) | JSON, max_size=4) | JSON,
+    "g0": JSON,
+}) | JSON
+
+
+def well_formed(payload) -> bool:
+    """A corpus file `load_corpus` must accept: distinct words, and documents that are
+    non-empty lists of integer ids into them."""
+    if not (isinstance(payload, dict) and "vocab" in payload and "docs" in payload):
+        return False
+    words, docs = payload["vocab"], payload["docs"]
+    return (isinstance(words, list) and all(isinstance(w, str) for w in words)
+            and len(set(words)) == len(words) and isinstance(docs, list) and len(docs) > 0
+            and all(isinstance(d, list) and d and all(type(t) is int and 0 <= t < len(words)
+                                                      for t in d) for d in docs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(CORPUS_FILES)
+def test_load_corpus_accepts_a_well_formed_file_and_names_the_file_otherwise(
+        tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz_corpus.json"
+    path.write_text(json.dumps(payload), "utf-8")
+    if well_formed(payload):
+        corpus = load_corpus(path)
+        assert corpus.vocabulary.words == payload["vocab"]
+        assert [d.tokens for d in corpus.documents] == payload["docs"]
+        return
+    with pytest.raises(CorpusError) as err:
         load_corpus(path)
     assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
 

@@ -605,6 +605,35 @@ def test_load_checkpoint_rejects_another_kind_or_other_arrays(tmp_path, params, 
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("params, name, dtype", [
+    (etm_params, "topic_emb", "float32"),
+    (modified_params, "assignment", "float64"),
+], ids=["etm topic_emb as float32", "modified assignment as float64"])
+def test_load_checkpoint_rejects_an_array_of_another_dtype(tmp_path, params, name, dtype):
+    path = tmp_path / "edited.ckpt"
+    model.save_checkpoint(params(seed=23), path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data)
+    header = json.loads(data[8 : 8 + hlen])
+    for spec in header["arrays"]:
+        spec["dtype"] = dtype if spec["name"] == name else spec["dtype"]
+    header = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header + data[8 + hlen:])
+    with pytest.raises(model.ModelError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+    assert f"array {name!r} has dtype {dtype}, expected" in str(err.value)
+
+
+def test_load_checkpoint_rejects_bytes_after_the_last_array(tmp_path):
+    path = tmp_path / "long.ckpt"
+    model.save_checkpoint(etm_params(seed=23), path)
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(model.ModelError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value) == f"{path}: 64 bytes after the last array"
+
+
 def test_checkpoint_header_with_cluster_hash_still_loads(tmp_path):
     """Older checkpoints carry a `cluster_hash` header key; it is read past."""
     path = tmp_path / "new.ckpt"
