@@ -18,13 +18,16 @@ from . import lda_baseline, manifest, metrics, model, sgns, training
 
 def _load_config_file(path) -> dict:
     text = Path(path).read_text("utf-8")
+    parse = json.loads
     if str(path).endswith(".toml"):
         try:
-            import tomllib
+            from tomllib import loads as parse
         except ImportError as e:  # python < 3.11
             raise training.TrainingError("TOML configs need Python >= 3.11; use JSON") from e
-        return tomllib.loads(text)
-    settings = json.loads(text)
+    try:
+        settings = parse(text)
+    except (ValueError, RecursionError) as e:  # JSON's and TOML's decode errors are ValueErrors
+        raise training.TrainingError(f"{path}: malformed config file ({e})") from e
     if not isinstance(settings, dict):
         raise training.TrainingError(f"{path}: a config file holds an object of settings, "
                                      f"got {type(settings).__name__}")

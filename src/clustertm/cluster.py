@@ -287,7 +287,7 @@ def load_clusters(path) -> ClusterModel:
             raise ClusterError(f"{path}: cluster id {bad[0]!r} is not an integer")
         model = ClusterModel(centres, np.asarray(ids, dtype=np.int64), payload["representation"],
                              float(payload["inertia"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise ClusterError(f"{path}: malformed cluster file ({e})") from e
     if not (np.isfinite(model.centres).all() and np.isfinite(model.inertia)):
         raise ClusterError(f"{path}: cluster file holds NaN or infinite centres or inertia")

@@ -89,63 +89,74 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and self.words == other.words
-
 
 @dataclass
 class Document:
     tokens: list[int]  # order preserved
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
+
+def token_array(lists: list[list[int]], n_vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Id lists as one int64 array and (#lists + 1,) offsets, list d being tokens[starts[d]:
+    starts[d + 1]]: the only place id lists become an array. An id beyond int64 raises
+    CorpusError here, one outside [0, n_vocab) when the counts are made."""
+    starts = np.cumsum([0] + [len(t) for t in lists])
+    try:
+        tokens = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                             count=int(starts[-1]))
+    except OverflowError as e:
+        raise CorpusError(f"token id outside vocabulary of size {n_vocab} ({e})") from e
+    return tokens, starts
 
 
-def doc_term_matrix(documents: list[Document], n_vocab: int) -> sp.csr_matrix:
+def _doc_term(tokens: np.ndarray, starts: np.ndarray, n_vocab: int) -> sp.csr_matrix:
     """(#docs, n_vocab) float64 token counts, CSR with sorted column indices.
 
-    The only place token lists become counts. The distinct keys row * n_vocab + id, in
+    The only place token ids become counts. The distinct keys row * n_vocab + id, in
     sorted order, give the columns row by row, and their multiplicities the counts. Ids
     outside [0, n_vocab) raise CorpusError.
     """
-    lengths = [len(d.tokens) for d in documents]
-    try:
-        ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in documents),
-                          dtype=np.int64, count=sum(lengths))
-    except OverflowError as e:  # an id beyond int64
-        raise CorpusError(f"token id outside vocabulary of size {n_vocab} ({e})") from e
-    bad = ids[(ids < 0) | (ids >= n_vocab)]
+    bad = tokens[(tokens < 0) | (tokens >= n_vocab)]
     if bad.size:
         raise CorpusError(f"token id {bad[0]} outside vocabulary of size {n_vocab}")
-    keys, counts = np.unique(np.repeat(np.arange(len(documents)) * n_vocab, lengths) + ids,
+    n_docs = len(starts) - 1
+    keys, counts = np.unique(np.repeat(np.arange(n_docs) * n_vocab, np.diff(starts)) + tokens,
                              return_counts=True)
-    indptr = np.searchsorted(keys, np.arange(len(documents) + 1) * n_vocab)
-    return sp.csr_matrix((counts, keys % n_vocab, indptr), shape=(len(documents), n_vocab),
+    indptr = np.searchsorted(keys, np.arange(n_docs + 1) * n_vocab)
+    return sp.csr_matrix((counts, keys % n_vocab, indptr), shape=(n_docs, n_vocab),
                          dtype=np.float64)
 
 
-@dataclass
+def doc_term_matrix(documents: list[Document], n_vocab: int) -> sp.csr_matrix:
+    """The token counts of `documents`, as `Corpus.doc_term` holds those of a corpus."""
+    return _doc_term(*token_array([d.tokens for d in documents], n_vocab), n_vocab)
+
+
+@dataclass(eq=False)
 class Corpus:
-    documents: list[Document]
+    tokens: np.ndarray  # int64 ids; document d is tokens[starts[d]:starts[d + 1]]
+    starts: np.ndarray  # (#docs + 1,) int64 offsets
     vocabulary: Vocabulary
-    doc_term: sp.csr_matrix = field(init=False, repr=False)  # built once from the documents
+    doc_term: sp.csr_matrix = field(init=False, repr=False)  # built once from `tokens`
     g0: np.ndarray = field(init=False)  # relative frequency of each word over all tokens
 
     def __post_init__(self):
-        self.doc_term = doc_term_matrix(self.documents, self.vocabulary.size)
-        empty = np.flatnonzero(np.diff(self.doc_term.indptr) == 0)
+        if len(self.starts) < 2 or self.starts[0] != 0 or self.starts[-1] != len(self.tokens):
+            raise CorpusError(f"need a document or more, and offsets from 0 to {len(self.tokens)}")
+        empty = np.flatnonzero(np.diff(self.starts) <= 0)
         if empty.size:
             raise CorpusError(f"document {empty[0]} has no tokens")
-        counts = self.doc_term.sum(axis=0).A1
-        total = counts.sum()
-        if total == 0:
-            raise CorpusError("cannot compute background frequencies over zero tokens")
-        self.g0 = counts / total
+        self.doc_term = _doc_term(self.tokens, self.starts, self.vocabulary.size)
+        self.g0 = np.bincount(self.tokens, minlength=self.vocab_size) / self.total_tokens
+
+    @functools.cached_property
+    def documents(self) -> list[Document]:
+        """Each document's ids as Python ints, made on first use; one int object per word."""
+        flat = np.arange(self.vocab_size).astype(object)[self.tokens].tolist()
+        return [Document(flat[a:b]) for a, b in itertools.pairwise(self.starts.tolist())]
 
     @property
     def n_docs(self) -> int:
-        return len(self.documents)
+        return len(self.starts) - 1
 
     @property
     def vocab_size(self) -> int:
@@ -153,14 +164,7 @@ class Corpus:
 
     @property
     def total_tokens(self) -> int:
-        return sum(d.length for d in self.documents)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Corpus)
-            and self.documents == other.documents
-            and self.vocabulary == other.vocabulary
-        )
+        return len(self.tokens)
 
 
 def _clean(raw: str) -> str:
@@ -210,17 +214,15 @@ def preprocess(raw_docs: list[str], options: PreprocessOptions | None = None) ->
     renumber[[terms[w] for w in words]] = np.arange(len(words))
     ids = renumber[ids]
     kept = ids >= 0
-    bounds = np.concatenate(([0], np.cumsum(kept)))[np.cumsum([0] + lengths)].tolist()
-    flat = np.array(range(len(words)), dtype=object)[ids[kept]].tolist()  # one int per word
-    documents = [Document(flat[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
-    del ids, kept, flat  # freed before doc_term_matrix builds its arrays
+    # an emptied document repeats its start, and `unique` drops it
+    starts = np.unique(np.concatenate(([0], np.cumsum(kept)))[np.cumsum([0] + lengths)])
 
-    n_dropped = len(raw_docs) - len(documents)
+    n_dropped = len(raw_docs) + 1 - len(starts)
     if n_dropped:
         logger.info("preprocess: dropped %d empty documents", n_dropped)
-    if not documents:
+    if len(starts) == 1:
         raise CorpusError("all documents were filtered out")
-    return Corpus(documents, Vocabulary(words))
+    return Corpus(ids[kept], starts, Vocabulary(words))
 
 
 def read_texts(path) -> list[str]:
@@ -238,7 +240,7 @@ def read_texts(path) -> list[str]:
         try:
             rec = json.loads(line)
             texts.append(rec["text"])
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as e:
             raise CorpusError(f"{p}:{i}: bad JSON-lines record ({e})") from e
     if not texts:
         raise CorpusError(f"{p}: no documents found")
@@ -259,13 +261,13 @@ def load_corpus(path) -> Corpus:
         words = payload["vocab"]
         if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
             raise CorpusError(f"{path}: vocab must be a list of strings, got {words!r:.60}")
-        docs = [Document(list(toks)) for toks in payload["docs"]]
+        docs = [list(toks) for toks in payload["docs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise CorpusError(f"{path}: malformed corpus file ({e})") from e
-    bad = [t for d in docs for t in d.tokens if type(t) is not int]  # bool is not int here
+    bad = [t for toks in docs for t in toks if type(t) is not int]  # bool is not int here
     if bad:
         raise CorpusError(f"{path}: token id {bad[0]!r} is not an integer")
     try:
-        return Corpus(docs, Vocabulary(words))
+        return Corpus(*token_array(docs, len(words)), Vocabulary(words))
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e

@@ -55,15 +55,15 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: i
     alpha, beta = float(alpha), BETA  # Python floats keep numpy scalars out of the loop
 
     n_v, n_d = corpus.vocab_size, corpus.n_docs
-    docs = [np.asarray(d.tokens, dtype=np.int64) for d in corpus.documents]
+    lengths = np.diff(corpus.starts)
     rng = np.random.default_rng(seed)
 
-    z = [rng.integers(0, n_topics, size=len(toks)) for toks in docs]
+    z = [rng.integers(0, n_topics, size=n) for n in lengths]
     n_tv = np.zeros((n_topics, n_v))
     n_dt = np.zeros((n_d, n_topics))
-    doc_of = np.repeat(np.arange(n_d), [len(toks) for toks in docs])
+    doc_of = np.repeat(np.arange(n_d), lengths)
     z_all = np.concatenate(z)
-    np.add.at(n_tv, (z_all, np.concatenate(docs)), 1.0)
+    np.add.at(n_tv, (z_all, corpus.tokens), 1.0)
     np.add.at(n_dt, (doc_of, z_all), 1.0)
     n_t = n_tv.sum(axis=1)
 
@@ -71,7 +71,7 @@ def fit_lda(corpus: Corpus, n_topics: int, alpha: float | None = None, sweeps: i
     doc_topic = n_dt.tolist()
     topic_total = n_t.tolist()
     z_lists = [zs.tolist() for zs in z]
-    tok_lists = [toks.tolist() for toks in docs]
+    tok_lists = [d.tokens for d in corpus.documents]
     beta_v = beta * n_v
     last = int(n_topics) - 1
     for _ in range(sweeps):

@@ -155,7 +155,7 @@ def load_topics(path, word_index: dict[str, int]) -> tuple[list[list[tuple[int, 
         return tops, n_top
     except KeyError as e:
         raise MetricsError(f"{path}: missing key {e}") from e
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as e:
         raise MetricsError(f"{path}: malformed topics file ({e})") from e
 
 

@@ -445,6 +445,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ModelError(f"{path}: {len(data) - offset} bytes after the last array")
         params = ModelParams(kind, {name: arrays[name] for name in probe.arrays},
                              bool(meta["freeze_word_emb"]))
-    except (struct.error, ValueError, KeyError, TypeError, IndexError) as e:
+    except (struct.error, ValueError, KeyError, TypeError, IndexError, RecursionError) as e:
         raise ModelError(f"{path}: truncated or malformed checkpoint ({e!r})") from e
     return params, meta

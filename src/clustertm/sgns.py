@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,8 +105,6 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
     """
     config = config or SgnsConfig()
     check_int(SgnsError, "dim", dim, 1)
-    if not corpus.documents:
-        raise SgnsError("empty corpus")
     check_int(SgnsError, "seed", seed, 0)
 
     rng = np.random.default_rng(seed)
@@ -126,15 +123,11 @@ def pretrain(corpus: Corpus, dim: int, config: SgnsConfig | None = None, seed: i
     else:
         keep = np.ones(n_v)
 
-    # the corpus as one token sequence; document d is ids[doc_starts[d]:doc_starts[d + 1]]
-    doc_starts = np.cumsum([0] + [len(d.tokens) for d in corpus.documents])
-    total_tokens = int(doc_starts[-1])
-    ids = np.fromiter(itertools.chain.from_iterable(d.tokens for d in corpus.documents),
-                      dtype=np.int64, count=total_tokens)
+    ids, doc_starts, total_tokens = corpus.tokens, corpus.starts, corpus.total_tokens
     # spans of whole documents, [spans[i], spans[i + 1]), of at most SPAN_TOKENS tokens
     # unless one document is longer
     spans = [0]
-    while spans[-1] < len(corpus.documents):
+    while spans[-1] < corpus.n_docs:
         end = np.searchsorted(doc_starts, doc_starts[spans[-1]] + SPAN_TOKENS, "right") - 1
         spans.append(max(spans[-1] + 1, int(end)))
     total_steps = max(1, config.epochs * total_tokens)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from clustertm.corpus import Corpus, Document, Vocabulary
+from clustertm.corpus import Corpus, Vocabulary, token_array
 
 # One "PASS/FAIL criterion N: ..." line per acceptance check, echoed at the end
 # of the run where pytest's capture cannot hide them.
@@ -21,12 +21,12 @@ def pytest_terminal_summary(terminalreporter):
 
 def make_corpus(list_of_token_lists, words=None):
     """Corpus from explicit token-id lists (vocabulary ids)."""
-    docs = [Document(tokens=list(t)) for t in list_of_token_lists]
+    docs = [list(t) for t in list_of_token_lists]
     if words is None:
         n_vocab = max(max(t) for t in list_of_token_lists) + 1
         words = [f"w{i:03d}" for i in range(n_vocab)]
     vocab = Vocabulary(words=list(words))
-    return Corpus(vocabulary=vocab, documents=docs)
+    return Corpus(*token_array(docs, vocab.size), vocabulary=vocab)
 
 
 def make_planted(seed, n_docs=500, n_vocab=200, n_topics=5, n_common=10,
@@ -56,9 +56,9 @@ def make_planted(seed, n_docs=500, n_vocab=200, n_topics=5, n_common=10,
         theta = rng.dirichlet(np.full(n_topics, alpha))
         length = rng.integers(len_lo, len_hi + 1)
         z = rng.choice(n_topics, size=length, p=theta)
-        docs.append(Document(tokens=[int(rng.choice(n_vocab, p=beta[t])) for t in z]))
+        docs.append([int(rng.choice(n_vocab, p=beta[t])) for t in z])
     vocab = Vocabulary(words=[f"w{i:03d}" for i in range(n_vocab)])
-    return Corpus(vocabulary=vocab, documents=docs), beta
+    return Corpus(*token_array(docs, n_vocab), vocabulary=vocab), beta
 
 
 def aligned_purity(top_ids, true_topic_word, n=10):

@@ -1,4 +1,5 @@
 import json
+import struct
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -545,3 +546,28 @@ def test_eval_rejects_topics_file_with_no_topics(texts_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: MetricsError: no topics to evaluate"]
     assert not report.exists()
+
+
+@pytest.mark.parametrize("reader, error", [
+    ("texts", "CorpusError"), ("config", "TrainingError"), ("clusters", "ClusterError"),
+    ("topics", "MetricsError"), ("checkpoint", "ModelError")])
+def test_readers_name_the_file_for_json_nested_too_deep_to_parse(texts_dir, tmp_path, capsys,
+                                                                   reader, error):
+    corpus = tmp_path / "corpus.json"
+    assert run(["preprocess", texts_dir, corpus, "--min-freq", 1]) == 0
+    deep = ("[" * 100_000 + "]" * 100_000).encode()
+    bad = tmp_path / {"texts": "texts.jsonl", "config": "deep.json", "clusters": "clusters.json",
+                      "topics": "topics.json", "checkpoint": "model.ckpt"}[reader]
+    bad.write_bytes(struct.pack("<Q", len(deep)) + deep if reader == "checkpoint" else deep)
+    out = tmp_path / "out"
+    argv = {"texts": ["preprocess", bad, out],
+            "config": ["train", corpus, out, "--model", "etm", "--config", bad],
+            "clusters": ["train", corpus, out, "--model", "modified", "--topics", 2,
+                         "--clusters", bad, "--config", write_config(tmp_path, **SMALL_ETM)],
+            "topics": ["topics", corpus, bad],
+            "checkpoint": ["topics", corpus, bad]}[reader]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}: {bad}:")
+    assert not out.exists()

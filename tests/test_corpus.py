@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clustertm.corpus import (Corpus, CorpusError, Document, PreprocessOptions,
                               Vocabulary, doc_term_matrix, load_corpus,
-                              preprocess, read_texts, save_corpus, tokenize)
+                              preprocess, read_texts, save_corpus, token_array, tokenize)
 from conftest import make_corpus
 
 
@@ -101,7 +101,7 @@ def test_preprocess_lemma_dictionary():
     corpus = preprocess(["cats cat"], PreprocessOptions(
         min_freq=1, stopwords=set(), lemma={"cats": "cat"}))
     assert corpus.vocabulary.words == ["cat"]
-    assert corpus.documents[0].length == 2
+    assert len(corpus.documents[0].tokens) == 2
 
 
 def test_preprocess_min_freq_filter_and_document_drop():
@@ -129,11 +129,21 @@ def test_preprocess_idempotent_on_own_output():
 
 
 def test_compute_g0_hand_counted():
-    assert Corpus([Document([0, 0, 1])],
+    assert Corpus(*token_array([[0, 0, 1]], 2),
                   Vocabulary(["a", "b"])).g0.tolist() == [2 / 3, 1 / 3]
-    assert Corpus([Document([0])], Vocabulary(["a"])).g0.tolist() == [1.0]
-    g0 = Corpus([Document([0]), Document([1, 1, 1])], Vocabulary(["a", "b"])).g0
+    assert Corpus(*token_array([[0]], 1), Vocabulary(["a"])).g0.tolist() == [1.0]
+    g0 = Corpus(*token_array([[0], [1, 1, 1]], 2), Vocabulary(["a", "b"])).g0
     assert g0.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("tokens, starts, named", [
+    ([0, 1], [0, 1], "offsets from 0 to 2"), ([0, 1], [0, 3], "offsets from 0 to 2"),
+    ([0, 1], [1, 2], "offsets from 0 to 2"), ([], [0], "a document or more"),
+    ([0, 1, 1], [0, 2, 1, 3], "document 1 has no tokens"),
+    ([0, 1], [0, 0, 2], "document 0 has no tokens")])
+def test_corpus_rejects_offsets_that_do_not_cut_its_tokens_into_documents(tokens, starts, named):
+    with pytest.raises(CorpusError, match=named):
+        Corpus(np.array(tokens, dtype=np.int64), np.array(starts), Vocabulary(["a", "b"]))
 
 
 def test_g0_invariants_on_random_corpus():
@@ -149,7 +159,7 @@ def test_document_counts_match_length():
     doc = Document([3, 1, 3, 3])
     counts = doc_term_matrix([doc], 5)
     assert counts.toarray().tolist() == [[0.0, 1.0, 0.0, 3.0, 0.0]]
-    assert counts.sum() == doc.length == 4
+    assert counts.sum() == len(doc.tokens) == 4
 
 
 def test_doc_term_matrix_hand_counted():
@@ -178,6 +188,48 @@ def test_doc_term_matrix_matches_scipy_coo_construction(case):
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _letters(i: int) -> str:
+    """A word without digits for id i; the words sort as their ids do."""
+    return "".join(chr(97 + i // 26 ** k % 26) for k in (2, 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000).flatmap(lambda v: st.tuples(st.just(v), st.lists(
+    st.lists(st.integers(0, v - 1) | st.just(v - 1), min_size=1, max_size=1)
+    | st.lists(st.integers(max(0, v - 20), v - 1) | st.integers(0, v - 1), min_size=1,
+               max_size=10), min_size=1, max_size=12))))
+def test_corpus_holds_one_token_array_and_gives_the_lists_back(tmp_path_factory, case):
+    n_vocab, lists = case
+    corpus = Corpus(*token_array(lists, n_vocab), Vocabulary([_letters(i) for i in range(n_vocab)]))
+    assert corpus.tokens.dtype == corpus.starts.dtype == np.int64
+    assert corpus.tokens.tolist() == [t for toks in lists for t in toks]
+    assert corpus.starts.tolist() == np.cumsum([0] + [len(toks) for toks in lists]).tolist()
+    assert "documents" not in corpus.__dict__
+    docs = [d.tokens for d in corpus.documents]
+    assert docs == lists and all(type(t) is int for toks in docs for t in toks)
+    first: dict[int, int] = {}
+    assert all(first.setdefault(t, t) is t for toks in docs for t in toks)  # one object per word
+    want = doc_term_matrix(corpus.documents, n_vocab)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(corpus.doc_term, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    path = tmp_path_factory.getbasetemp() / "array_corpus.json"
+    save_corpus(corpus, path)
+    saved = path.read_bytes()
+    loaded = load_corpus(path)
+    assert "documents" not in loaded.__dict__
+    save_corpus(loaded, path)
+    assert path.read_bytes() == saved
+
+    texts = [" ".join(_letters(t) for t in toks) for toks in lists]
+    again = preprocess(texts, PreprocessOptions(min_freq=1, stopwords=set()))
+    assert "documents" not in again.__dict__
+    words = again.vocabulary.words
+    assert [[words[t] for t in d.tokens] for d in again.documents] == [
+        [_letters(t) for t in toks] for toks in lists]
 
 
 def test_corpus_roundtrip(tmp_path):
