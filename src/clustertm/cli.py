@@ -17,17 +17,14 @@ from . import lda_baseline, manifest, metrics, model, sgns, training
 
 
 def _load_config_file(path) -> dict:
-    text = Path(path).read_text("utf-8")
     parse = json.loads
     if str(path).endswith(".toml"):
         try:
             from tomllib import loads as parse
         except ImportError as e:  # python < 3.11
             raise training.TrainingError("TOML configs need Python >= 3.11; use JSON") from e
-    try:
-        settings = parse(text)
-    except (ValueError, RecursionError) as e:  # JSON's and TOML's decode errors are ValueErrors
-        raise training.TrainingError(f"{path}: malformed config file ({e})") from e
+    with corpus_mod.malformed(training.TrainingError, path, "malformed config file"):
+        settings = parse(Path(path).read_text("utf-8"))
     if not isinstance(settings, dict):
         raise training.TrainingError(f"{path}: a config file holds an object of settings, "
                                      f"got {type(settings).__name__}")
@@ -103,9 +100,10 @@ def cmd_train(args) -> None:
         print(f"wrote {args.output} (lda topics, #T={lda['n_topics']})")
         return
 
-    settings.update(_typed(model_kind=args.model, pretrained_path=args.pretrained))
+    settings.update(_typed(model_kind=args.model, pretrained_path=args.pretrained,
+                           freeze_word_emb=False if args.tune_embeddings else None))
     pretrained = settings.pop("pretrained_path", None)
-    settings.setdefault("freeze_word_emb", bool(pretrained) and not args.tune_embeddings)
+    settings.setdefault("freeze_word_emb", bool(pretrained))
     config = training.TrainConfig(**settings)
     cm = clustering.load_clusters(args.clusters) if args.clusters else None
     emb = sgns.load_embeddings(pretrained) if pretrained else None
@@ -147,7 +145,7 @@ def cmd_topics(args) -> None:
 
 
 def cmd_plot(args) -> None:
-    report = metrics.MetricsReport.from_json(Path(args.report).read_text("utf-8"))
+    report = metrics.load_report(args.report)
     metrics.write_scatter_csv(report, args.csv)
     if args.svg:
         metrics.write_scatter_svg(report, args.svg, **_typed(label=args.label))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, check_int
+from .corpus import Corpus, check_int, malformed
 from .sgns import EmbeddingMatrix, check_vocabulary
 
 logger = logging.getLogger(__name__)
@@ -272,7 +272,7 @@ def save_clusters(model: ClusterModel, path) -> None:
 
 
 def load_clusters(path) -> ClusterModel:
-    try:
+    with malformed(ClusterError, path, "malformed cluster file"):
         payload = json.loads(Path(path).read_text("utf-8"))
         centres, ids = np.asarray(payload["centres"], dtype=float), payload["assignment"]
         if centres.ndim != 2:
@@ -287,8 +287,6 @@ def load_clusters(path) -> ClusterModel:
             raise ClusterError(f"{path}: cluster id {bad[0]!r} is not an integer")
         model = ClusterModel(centres, np.asarray(ids, dtype=np.int64), payload["representation"],
                              float(payload["inertia"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
-        raise ClusterError(f"{path}: malformed cluster file ({e})") from e
     if not (np.isfinite(model.centres).all() and np.isfinite(model.inertia)):
         raise ClusterError(f"{path}: cluster file holds NaN or infinite centres or inertia")
     return model

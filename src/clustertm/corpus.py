@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import logging
 import re
+import struct
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,6 +24,26 @@ _HAS_DIGIT = re.compile(r"\d")
 
 class CorpusError(Exception):
     pass
+
+
+# Any reader's sign of a malformed file; ValueError covers JSONDecodeError and UnicodeDecodeError
+MALFORMED = (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError, struct.error)
+
+
+@contextlib.contextmanager
+def malformed(error: type[Exception], path, what: str):
+    """Re-raise a MALFORMED exception as `error`: "<path>: <what> (<e>)" or "missing key"."""
+    try:
+        yield
+    except MALFORMED as e:
+        reason = f"missing key {e}" if isinstance(e, KeyError) else f"{what} ({e})"
+        raise error(f"{path}: {reason}") from e
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
+    with malformed(error, path, "not UTF-8 text"):
+        return Path(path).read_text("utf-8")
 
 
 def is_int(x) -> bool:
@@ -46,13 +68,13 @@ def default_stopwords() -> set[str]:
 
 def load_stopwords(paths) -> set[str]:
     """One word per line; no files give the empty set."""
-    return set().union(*(_word_lines(Path(p).read_text("utf-8")) for p in paths))
+    return set().union(*(_word_lines(read_text(p, CorpusError)) for p in paths))
 
 
 def load_lemma_dict(path) -> dict[str, str]:
     """TSV file, one `word<TAB>lemma` pair per line; a lemma is one word, without spaces."""
     table: dict[str, str] = {}
-    for i, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_text(path, CorpusError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -232,15 +254,17 @@ def read_texts(path) -> list[str]:
         files = sorted(p.glob("*.txt"))
         if not files:
             raise CorpusError(f"{p}: no .txt files found")
-        return [f.read_text("utf-8") for f in files]
+        return [read_text(f, CorpusError) for f in files]
     texts = []
-    for i, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_text(p, CorpusError).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            texts.append(rec["text"])
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as e:
+            text = json.loads(line)["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"'text' holds {type(text).__name__}, not a string")
+            texts.append(text)
+        except MALFORMED as e:
             raise CorpusError(f"{p}:{i}: bad JSON-lines record ({e})") from e
     if not texts:
         raise CorpusError(f"{p}: no documents found")
@@ -256,14 +280,11 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    try:
+    with malformed(CorpusError, path, "malformed corpus file"):
         payload = json.loads(Path(path).read_text("utf-8"))
-        words = payload["vocab"]
-        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
-            raise CorpusError(f"{path}: vocab must be a list of strings, got {words!r:.60}")
-        docs = [list(toks) for toks in payload["docs"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as e:
-        raise CorpusError(f"{path}: malformed corpus file ({e})") from e
+        words, docs = payload["vocab"], [list(toks) for toks in payload["docs"]]
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise CorpusError(f"{path}: vocab must be a list of strings, got {words!r:.60}")
     bad = [t for toks in docs for t in toks if type(t) is not int]  # bool is not int here
     if bad:
         raise CorpusError(f"{path}: token id {bad[0]!r} is not an integer")

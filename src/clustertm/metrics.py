@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, malformed
 
 N_TOP = 10  # top words per topic scored by TC and WSWF unless the caller names another count
 
@@ -44,8 +44,14 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
+        """The report `to_json` wrote; ValueError unless it holds one finite TC and WSWF per
+        topic, for one topic or more."""
         data = json.loads(text)
-        return cls(data["per_topic_tc"], data["per_topic_wswf"],
+        tc, wswf = (np.asarray(data[k], dtype=float) for k in ("per_topic_tc", "per_topic_wswf"))
+        if not (tc.ndim == 1 and tc.size and tc.shape == wswf.shape
+                and np.isfinite(tc).all() and np.isfinite(wswf).all()):
+            raise ValueError("per_topic_tc and per_topic_wswf need one finite number per topic")
+        return cls(tc.tolist(), wswf.tolist(),
                    [[(w, p) for w, p in topic] for topic in data["top_words"]],
                    data["n_top"])
 
@@ -140,11 +146,10 @@ def save_topics(top_words: list[list[tuple[int, float]]], vocab_words: list[str]
 
 
 def load_topics(path, word_index: dict[str, int]) -> tuple[list[list[tuple[int, float]]], int]:
-    try:
+    with malformed(MetricsError, path, "malformed topics file"):
         payload = json.loads(Path(path).read_text("utf-8"))
-        topics, n_top = payload["topics"], int(payload["N"])
         tops = []
-        for t, topic in enumerate(topics):
+        for t, topic in enumerate(payload["topics"]):
             words, probs = topic["words"], [float(p) for p in topic["probs"]]
             if len(words) != len(probs) or not all(0.0 <= p <= 1.0 for p in probs):
                 raise MetricsError(f"{path}: topic {t} needs one probability in [0, 1] per word")
@@ -152,11 +157,12 @@ def load_topics(path, word_index: dict[str, int]) -> tuple[list[list[tuple[int, 
             if unknown:
                 raise MetricsError(f"{path}: word {unknown[0]!r} not in the corpus vocabulary")
             tops.append([(word_index[w], p) for w, p in zip(words, probs)])
-        return tops, n_top
-    except KeyError as e:
-        raise MetricsError(f"{path}: missing key {e}") from e
-    except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as e:
-        raise MetricsError(f"{path}: malformed topics file ({e})") from e
+        return tops, int(payload["N"])
+
+
+def load_report(path) -> MetricsReport:
+    with malformed(MetricsError, path, "malformed report file"):
+        return MetricsReport.from_json(Path(path).read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------

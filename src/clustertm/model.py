@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Document, doc_term_matrix
+from .corpus import Document, doc_term_matrix, malformed
 
 
 class ModelError(Exception):
@@ -397,15 +397,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Parameters and header of a checkpoint. A truncated or garbled file, a kind other than
     etm and modified, arrays other than those its kind stores, an array whose shape
-    disagrees with the others or whose dtype is not its kind's, or bytes after the last
-    array raise ModelError.
+    disagrees with the others or whose dtype is not its kind's, bytes after the last array, or
+    a NaN or infinite value raise ModelError.
 
     The names, their order, the shapes and the dtypes come from a probe model of the file's
     kind whose sizes (#V, #T, H, #D, hidden, R) = (2, 3, 5, 7, 11, 13) are distinct, so each
     dimension of a probe array names one size. The file gives #V by `word_emb`, #T and H by its
     header, hidden by `enc.b1`, #D by `log_lambda` and R by `centres`."""
     data = Path(path).read_bytes()
-    try:
+    with malformed(ModelError, path, "truncated or malformed checkpoint"):
         (hlen,) = struct.unpack_from("<Q", data)
         meta = json.loads(data[8 : 8 + hlen].decode("utf-8"))
         if not isinstance(meta, dict) or meta.get("format") != "clustertm-ckpt-v1":
@@ -443,8 +443,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             offset += count * dtype.itemsize
         if offset != len(data):
             raise ModelError(f"{path}: {len(data) - offset} bytes after the last array")
-        params = ModelParams(kind, {name: arrays[name] for name in probe.arrays},
-                             bool(meta["freeze_word_emb"]))
-    except (struct.error, ValueError, KeyError, TypeError, IndexError, RecursionError) as e:
-        raise ModelError(f"{path}: truncated or malformed checkpoint ({e!r})") from e
-    return params, meta
+        if not all(np.isfinite(arr).all() for arr in arrays.values()):
+            raise ModelError(f"{path}: checkpoint holds NaN or infinite values")
+        return ModelParams(kind, {name: arrays[name] for name in probe.arrays},
+                           bool(meta["freeze_word_emb"])), meta

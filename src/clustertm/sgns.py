@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, check_int
+from .corpus import MALFORMED, Corpus, check_int, read_text
 
 
 class SgnsError(Exception):
@@ -186,7 +186,7 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read a `save_embeddings` file: a `rows dim` header, then exactly `rows` lines of a
     word and `dim` values. Any other shape raises SgnsError naming the line."""
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = read_text(path, SgnsError).splitlines()
     i = 1  # the line read, for the error
     try:
         n, dim = map(int, lines[0].split())
@@ -201,7 +201,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
             words.append(word)
             rows.append(list(map(float, values)))
         vectors = np.asarray(rows, dtype=float).reshape(n, dim)
-    except (IndexError, ValueError) as e:
+    except MALFORMED as e:
         raise SgnsError(f"{path}: line {i}: malformed embedding file ({e})") from e
     if not np.isfinite(vectors).all():
         raise SgnsError(f"{path}: embedding file holds NaN or infinite values")

@@ -1,11 +1,29 @@
 """Shared fixtures: synthetic corpora with known (planted) topics and helpers."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from clustertm.corpus import Corpus, Vocabulary, token_array
+
+# Any small JSON value, for the fuzz tests of the file readers: NaN, infinities and integers
+# beyond int64 included
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+
+
+def json_files(fields: dict) -> st.SearchStrategy[str]:
+    """The JSON text of an object with a value drawn for each key of `fields`, less one key
+    or none, or of any JSON value."""
+    objects = st.fixed_dictionaries(fields).flatmap(lambda obj: st.sets(
+        st.sampled_from(sorted(obj)), max_size=1).map(lambda drop: {
+            k: v for k, v in obj.items() if k not in drop}))
+    return (objects | JSON).map(json.dumps)
 
 # One "PASS/FAIL criterion N: ..." line per acceptance check, echoed at the end
 # of the run where pytest's capture cannot hide them.

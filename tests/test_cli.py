@@ -571,3 +571,121 @@ def test_readers_name_the_file_for_json_nested_too_deep_to_parse(texts_dir, tmp_
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {error}: {bad}:")
     assert not out.exists()
+
+
+NOT_UTF8 = b"\xff\xfe\x80 not UTF-8"
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE_INT = "1" + "0" * 5000  # more digits than Python parses into an int
+
+
+def _checkpoint_with_topics(n_topics: int) -> bytes:
+    """An etm checkpoint whose header and topic dimensions all say `n_topics`, with the bytes
+    of the arrays that come before the first of those."""
+    arrays = model._all_arrays(model.init_params("etm", 4, 2, 3, 5, 6))  # 2 topics
+    specs = [{"name": name, "dtype": "float64",
+              "shape": [n_topics if d == 2 else d for d in arr.shape]}
+             for name, arr in arrays.items()]
+    blob = json.dumps({"format": "clustertm-ckpt-v1", "kind": "etm", "n_topics": n_topics,
+                       "emb_dim": 3, "freeze_word_emb": False, "arrays": specs}).encode()
+    return struct.pack("<Q", len(blob)) + blob + bytes(1024)
+
+
+def _with_header(text: str) -> bytes:
+    return struct.pack("<Q", len(text.encode())) + text.encode()
+
+
+# per reader: the file each case writes; a reader meets only the cases that apply to it
+MALFORMED_INPUTS = {
+    "texts-dir": {"not-utf8": NOT_UTF8},
+    "texts-jsonl": {"not-utf8": NOT_UTF8, "deep": DEEP, "number": '{"text": %s}' % HUGE_INT,
+                    "missing-key": '{"txt": "a b"}'},
+    "stopwords": {"not-utf8": NOT_UTF8},
+    "lemma": {"not-utf8": NOT_UTF8},
+    "corpus": {"not-utf8": NOT_UTF8, "deep": DEEP,
+               "number": json.dumps({"vocab": ["a", "b"], "docs": [[0, 2**64]]}),
+               "missing-key": json.dumps({"vocab": ["a", "b"]})},
+    "embeddings": {"not-utf8": NOT_UTF8, "number": "2 2\na 1e400 0\nb 0 0\n"},
+    "pretrained": {"not-utf8": NOT_UTF8, "number": "2 2\na 1e400 0\nb 0 0\n"},
+    "config": {"not-utf8": NOT_UTF8, "deep": DEEP, "number": '{"seed": %s}' % HUGE_INT},
+    "clusters": {"not-utf8": NOT_UTF8, "deep": DEEP,
+                 "number": json.dumps({"centres": [[0.1], [0.2]], "assignment": [0, 2**70],
+                                       "representation": "tfidf", "inertia": 1.0}),
+                 "missing-key": json.dumps({"centres": [[0.1], [0.2]], "assignment": [0, 1],
+                                            "representation": "tfidf"})},
+    "topics": {"not-utf8": NOT_UTF8, "deep": DEEP, "number": '{"topics": [], "N": 1e400}',
+               "missing-key": '{"topics": []}'},
+    "checkpoint": {"not-utf8": struct.pack("<Q", len(NOT_UTF8)) + NOT_UTF8,
+                   "deep": _with_header(DEEP), "number": _checkpoint_with_topics(10**30),
+                   "missing-key": _with_header('{"format": "clustertm-ckpt-v1", "arrays": []}')},
+    "report": {"not-utf8": NOT_UTF8, "deep": DEEP, "number": json.dumps(
+        {"per_topic_tc": [1e400], "per_topic_wswf": [0.5], "top_words": [], "n_top": 1}),
+               "missing-key": json.dumps({"per_topic_tc": [0.1], "per_topic_wswf": [0.2],
+                                          "top_words": []})},
+}
+
+
+@pytest.mark.parametrize("reader, case", [(r, c) for r, cases in MALFORMED_INPUTS.items()
+                                          for c in cases])
+def test_every_reader_names_its_file_for_a_malformed_input(texts_dir, tmp_path, capsys, reader,
+                                                           case):
+    corpus = tmp_path / "corpus.json"
+    assert run(["preprocess", texts_dir, corpus, "--min-freq", 1]) == 0
+    small = write_config(tmp_path, **SMALL_ETM)
+    bad = tmp_path / ("bad.ckpt" if reader == "checkpoint" else "bad.json")  # eval reads by suffix
+    if reader == "texts-dir":
+        (tmp_path / "docs").mkdir()
+        bad = tmp_path / "docs" / "doc.txt"
+    data = MALFORMED_INPUTS[reader][case]
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode())
+    out = tmp_path / "out"
+    argv = {"texts-dir": ["preprocess", bad.parent, out],
+            "texts-jsonl": ["preprocess", bad, out],
+            "stopwords": ["preprocess", texts_dir, out, "--stopwords", bad],
+            "lemma": ["preprocess", texts_dir, out, "--lemma", bad],
+            "corpus": ["pretrain", bad, out],
+            "embeddings": ["cluster", corpus, out, "--embeddings", bad],
+            "pretrained": ["train", corpus, out, "--model", "etm", "--pretrained", bad,
+                           "--config", small],
+            "config": ["train", corpus, out, "--model", "etm", "--config", bad],
+            "clusters": ["train", corpus, out, "--model", "modified", "--topics", 2,
+                         "--clusters", bad, "--config", small],
+            "topics": ["eval", corpus, bad, out],
+            "checkpoint": ["eval", corpus, bad, out],
+            "report": ["plot", bad, out, "--svg", tmp_path / "out.svg"]}[reader]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("report, named", [
+    ('{"tc": 1}', "missing key 'per_topic_tc'"),
+    ("tc,wswf\n0.1,0.2\n", "malformed report file (Expecting value"),
+    (json.dumps({"per_topic_tc": [], "per_topic_wswf": [], "top_words": [], "n_top": 3}),
+     "one finite number per topic"),
+    (json.dumps({"per_topic_tc": [0.1, 0.2], "per_topic_wswf": [0.3], "top_words": [],
+                 "n_top": 3}), "one finite number per topic"),
+], ids=["no-per-topic-tc", "not-json", "no-topics", "lengths-differ"])
+def test_plot_rejects_a_report_it_cannot_draw(tmp_path, capsys, report, named):
+    path = tmp_path / "report.json"
+    path.write_text(report, "utf-8")
+    csv, svg = tmp_path / "scatter.csv", tmp_path / "scatter.svg"
+    assert run(["plot", path, csv, "--svg", svg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: MetricsError: {path}: ") and named in err[0]
+    assert not csv.exists() and not svg.exists()
+
+
+def test_typed_tune_embeddings_wins_over_config(texts_dir, tmp_path):
+    corpus, emb = tmp_path / "corpus.json", tmp_path / "emb.txt"
+    assert run(["preprocess", texts_dir, corpus, "--min-freq", 1]) == 0
+    assert run(["pretrain", corpus, emb, "--dim", 4, "--epochs", 1]) == 0
+    config = write_config(tmp_path, **SMALL_ETM, freeze_word_emb=True)
+    frozen, tuned = tmp_path / "frozen.ckpt", tmp_path / "tuned.ckpt"
+    for out, flags in ((frozen, []), (tuned, ["--tune-embeddings"])):
+        assert run(["train", corpus, out, "--model", "etm", "--topics", 2, "--pretrained", emb,
+                    "--config", config, *flags]) == 0
+    assert read_manifest(frozen)["config"]["freeze_word_emb"] is True
+    assert read_manifest(tuned)["config"]["freeze_word_emb"] is False
+    assert model.load_checkpoint(tuned)[0].freeze_word_emb is False

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustertm import cluster
@@ -15,7 +15,7 @@ from clustertm.cluster import (ClusterError, _lloyd, cluster_corpus, kmeans,
                                vectorize_documents)
 from clustertm.sgns import EmbeddingMatrix
 import kmeans_reference
-from conftest import make_corpus, make_planted
+from conftest import JSON, json_files, make_corpus, make_planted
 
 
 def brute_force_inertia(points, k):
@@ -455,3 +455,28 @@ def test_csr_sort_key_long_rows_over_many_short_negative_rows():
     order, group = cluster._row_order(cluster._checked_points(sp.csr_matrix(dense))[0])
     assert np.array_equal(order, want)
     assert np.array_equal(group, np.concatenate(([0], np.cumsum(new_row))))
+
+
+CLUSTER_FILES = json_files({
+    "centres": st.lists(st.lists(st.floats(), min_size=1, max_size=2), min_size=1, max_size=3)
+    | JSON,
+    "assignment": st.lists(st.integers(-1, 3) | st.integers(), max_size=4) | JSON,
+    "representation": st.sampled_from(["tfidf", "embedding"]) | JSON,
+    "inertia": st.floats() | st.integers() | JSON,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLUSTER_FILES)
+@example(json.dumps({"centres": [[0.1], [0.2]], "assignment": [0, 2**70],
+                     "representation": "tfidf", "inertia": 1.0}))
+def test_load_clusters_loads_a_file_or_names_it(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_clusters.json"
+    path.write_text(text, "utf-8")
+    try:
+        model = load_clusters(path)
+    except ClusterError as err:
+        assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
+        return
+    assert model.centres.ndim == 2 and model.assignment.ndim == 1
+    assert np.isfinite(model.centres).all() and np.isfinite(model.inertia)

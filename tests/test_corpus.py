@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from clustertm.corpus import (Corpus, CorpusError, Document, PreprocessOptions,
                               Vocabulary, doc_term_matrix, load_corpus,
                               preprocess, read_texts, save_corpus, token_array, tokenize)
-from conftest import make_corpus
+from conftest import JSON, make_corpus
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
@@ -314,9 +314,6 @@ def test_load_corpus_names_the_file_for_json_nested_too_deep_to_parse(tmp_path):
     assert str(err.value).startswith(f"{path}: malformed corpus file")
 
 
-JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-                    lambda inner: st.lists(inner, max_size=3)
-                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
 TOKEN_IDS = (st.integers(-2, 4) | st.integers() | st.booleans() | st.floats() | st.text(max_size=2)
              | st.lists(st.integers(0, 2), max_size=2) | st.none())
 CORPUS_FILES = st.fixed_dictionaries({}, optional={
@@ -366,3 +363,17 @@ def test_read_texts_directory_and_jsonl(tmp_path):
     j = tmp_path / "docs.jsonl"
     j.write_text("\n".join(json.dumps({"text": t}) for t in ["x", "y"]), "utf-8")
     assert read_texts(j) == ["x", "y"]
+
+
+@pytest.mark.parametrize("record, reason", [
+    ('{"text": 5}', "'text' holds int, not a string"),
+    ('{"text": ["a b"]}', "'text' holds list, not a string"),
+    ('{"txt": "a b"}', "'text'"),
+    ('["text"]', "list indices must be integers"),
+], ids=["number", "list", "missing-key", "not-an-object"])
+def test_read_texts_names_the_line_of_a_record_without_a_text_string(tmp_path, record, reason):
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"text": "first doc"}) + "\n" + record + "\n", "utf-8")
+    with pytest.raises(CorpusError) as err:
+        read_texts(path)
+    assert str(err.value).startswith(f"{path}:2: bad JSON-lines record (" + reason)

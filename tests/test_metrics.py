@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustertm import metrics
-from conftest import make_corpus
+from conftest import JSON, json_files, make_corpus
 
 
 # --------------------------------------------------------------- presence
@@ -314,3 +314,51 @@ def test_report_json_roundtrip():
     assert back.per_topic_tc == report.per_topic_tc
     assert back.per_topic_wswf == report.per_topic_wswf
     assert back.top_words == report.top_words
+
+
+NUMBERS = st.floats() | st.integers()
+TOPIC_FILES = json_files({
+    "topics": st.lists(st.fixed_dictionaries({
+        "words": st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=3) | JSON,
+        "probs": st.lists(NUMBERS, max_size=3) | JSON}) | JSON, max_size=3) | JSON,
+    "N": NUMBERS | JSON,
+})
+PER_TOPIC = st.lists(NUMBERS, min_size=2, max_size=2) | st.lists(NUMBERS, max_size=3) | JSON
+REPORT_FILES = json_files({
+    "per_topic_tc": PER_TOPIC,
+    "per_topic_wswf": PER_TOPIC,
+    "top_words": st.lists(st.lists(st.tuples(st.text(max_size=2), NUMBERS), max_size=2),
+                          max_size=2) | JSON,
+    "n_top": st.integers() | JSON,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOPIC_FILES)
+@example('{"topics": [], "N": 1e400}')
+def test_load_topics_loads_a_file_or_names_it(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_topics.json"
+    path.write_text(text, "utf-8")
+    try:
+        tops, n_top = metrics.load_topics(path, {"a": 0, "b": 1, "c": 2})
+    except metrics.MetricsError as err:
+        assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
+        return
+    assert isinstance(n_top, int)
+    assert all(v in (0, 1, 2) and 0 <= p <= 1 for pairs in tops for v, p in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_FILES)
+@example('{"per_topic_tc": [], "per_topic_wswf": [], "top_words": [], "n_top": 3}')
+@example('{"per_topic_tc": [0.1, NaN], "per_topic_wswf": [0.2, 0.3], "top_words": [], "n_top": 3}')
+def test_load_report_loads_a_file_or_names_it(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_report.json"
+    path.write_text(text, "utf-8")
+    try:
+        report = metrics.load_report(path)
+    except metrics.MetricsError as err:
+        assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
+        return
+    assert 0 < len(report.per_topic_tc) == len(report.per_topic_wswf)
+    assert np.isfinite(report.per_topic_tc).all() and np.isfinite(report.per_topic_wswf).all()

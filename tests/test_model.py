@@ -1,16 +1,22 @@
+import copy
 import dataclasses
+import functools
 import json
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.special
 
 from clustertm import metrics, model
 from clustertm.corpus import Document, doc_term_matrix
-from conftest import make_corpus, rel_err
+from conftest import JSON, make_corpus, rel_err
 import oracles
 from model_reference import reference_elbo_and_grad
 
@@ -650,3 +656,69 @@ def test_checkpoint_header_with_cluster_hash_still_loads(tmp_path):
     assert meta["cluster_hash"] == "ab" * 32
     for name, arr in model.trainable_blocks(p).items():
         assert np.array_equal(model.trainable_blocks(back)[name], arr)
+
+
+@functools.cache
+def _small_checkpoint() -> tuple[dict, bytes]:
+    """Header and array bytes of an etm checkpoint with (#V, #T, H, hidden) = (4, 2, 3, 5)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.ckpt"
+        model.save_checkpoint(etm_params(n_vocab=4, n_topics=2, emb_dim=3, hidden=5), path)
+        data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data)
+    return json.loads(data[8 : 8 + hlen]), data[8 + hlen :]
+
+
+def _checkpoint_bytes(meta: dict, body: bytes, hlen: int | None = None) -> bytes:
+    header = json.dumps(meta).encode()
+    return struct.pack("<Q", len(header) if hlen is None else hlen) + header + body
+
+
+def _with_topics(meta: dict, n_topics) -> dict:
+    """`meta` with its topic count and every topic dimension of its arrays set to n_topics."""
+    return {**meta, "n_topics": n_topics, "arrays": [
+        {**spec, "shape": [n_topics if d == 2 else d for d in spec["shape"]]}
+        for spec in meta["arrays"]]}
+
+
+@st.composite
+def checkpoint_files(draw):
+    """The small checkpoint as saved, or with one part replaced: its topic count, a header
+    field, a field of an array's spec, the header length or the array bytes; or any bytes."""
+    meta, body = copy.deepcopy(_small_checkpoint())
+    hlen = None
+    part = draw(st.sampled_from(["none", "bytes", "topics", "field", "spec", "hlen", "body"]))
+    if part == "bytes":
+        return draw(st.binary(max_size=64))
+    if part == "topics":
+        meta = _with_topics(meta, draw(st.integers(-1, 3) | st.integers()))
+    elif part == "field":
+        meta[draw(st.sampled_from(sorted(meta)))] = draw(st.integers() | JSON)
+    elif part == "spec":
+        spec = draw(st.sampled_from(meta["arrays"]))
+        field = draw(st.sampled_from(["shape", "dtype", "name"]))
+        spec[field] = draw({"shape": st.lists(st.integers(-2, 6) | st.integers(), max_size=3),
+                            "dtype": st.sampled_from(["float32", "int64", "<f8", "bool", "bogus"]),
+                            "name": st.sampled_from(["word_emb", "enc.W1", "centres"])}[field]
+                           | JSON)
+    elif part == "hlen":
+        hlen = draw(st.integers(0, 2**64 - 1))
+    elif part == "body":  # any float64 values, or too few or too many bytes
+        values = st.lists(st.floats(), min_size=len(body) // 8, max_size=len(body) // 8)
+        body = draw(values.map(lambda xs: np.array(xs).tobytes())
+                    | st.integers(0, len(body) + 8).map(lambda k: (body + bytes(8))[:k]))
+    return _checkpoint_bytes(meta, body, hlen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoint_files())
+@example(_checkpoint_bytes(_with_topics(_small_checkpoint()[0], 10**30), _small_checkpoint()[1]))
+def test_load_checkpoint_loads_a_file_or_names_it(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(data)
+    try:
+        params, _ = model.load_checkpoint(path)
+    except model.ModelError as err:
+        assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
+        return
+    assert all(np.isfinite(arr).all() for arr in params.arrays.values())

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustertm import sgns
 from clustertm.sgns import (EmbeddingMatrix, SgnsConfig, SgnsError,
@@ -368,3 +370,25 @@ def test_pretrain_peak_memory_grows_with_the_corpus_only_by_its_token_ids():
 
     (small_tokens, small), (big_tokens, big) = traced(1000), traced(9000)
     assert big - small < 8 * (big_tokens - small_tokens) + 48 * 8000
+
+
+# a header, then rows of tokens that are words, numbers, non-finite or too long to parse
+EMBEDDING_TOKENS = st.sampled_from(["a", "b", "0", "1", "2", "-1", "0.5", "nan", "-inf", "1e400",
+                                    "", "1" * 5000])
+EMBEDDING_FILES = st.builds(
+    lambda n, dim, rows: "\n".join([f"{n} {dim}", *rows]) + "\n", st.integers(-1, 3),
+    st.integers(-1, 3), st.lists(st.lists(EMBEDDING_TOKENS, min_size=1, max_size=4).map(" ".join),
+                                 max_size=4)).map(str.encode) | st.binary(max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EMBEDDING_FILES)
+def test_load_embeddings_loads_a_file_or_names_it(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_emb.txt"
+    path.write_bytes(data)
+    try:
+        emb = load_embeddings(path)
+    except SgnsError as err:
+        assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
+        return
+    assert emb.vectors.shape == (len(emb.words), emb.dim) and np.isfinite(emb.vectors).all()
