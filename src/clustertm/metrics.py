@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, malformed
+from .corpus import Corpus, check_int, is_int, malformed
 
 N_TOP = 10  # top words per topic scored by TC and WSWF unless the caller names another count
 
@@ -45,15 +45,23 @@ class MetricsReport:
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         """The report `to_json` wrote; ValueError unless it holds one finite TC and WSWF per
-        topic, for one topic or more."""
+        topic, for one topic or more, (word, probability) pairs as top words and an integer
+        n_top >= 1. A number is a JSON int or float, not a string or a bool."""
         data = json.loads(text)
-        tc, wswf = (np.asarray(data[k], dtype=float) for k in ("per_topic_tc", "per_topic_wswf"))
-        if not (tc.ndim == 1 and tc.size and tc.shape == wswf.shape
-                and np.isfinite(tc).all() and np.isfinite(wswf).all()):
+        tc, wswf = data["per_topic_tc"], data["per_topic_wswf"]
+        if not (isinstance(tc, list) and isinstance(wswf, list) and 0 < len(tc) == len(wswf)
+                and all(_is_number(x) and np.isfinite(float(x)) for x in tc + wswf)):
             raise ValueError("per_topic_tc and per_topic_wswf need one finite number per topic")
-        return cls(tc.tolist(), wswf.tolist(),
-                   [[(w, p) for w, p in topic] for topic in data["top_words"]],
-                   data["n_top"])
+        top_words = [[(w, p) for w, p in topic] for topic in data["top_words"]]
+        if not all(isinstance(w, str) and _is_number(p) for topic in top_words for w, p in topic):
+            raise ValueError("top_words needs (word, probability) pairs")
+        check_int(ValueError, "n_top", data["n_top"], 1)
+        return cls([float(x) for x in tc], [float(x) for x in wswf], top_words, data["n_top"])
+
+
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(x, float) or is_int(x)
 
 
 def top_words_from_matrix(topic_word: np.ndarray, n: int) -> list[list[tuple[int, float]]]:

@@ -398,7 +398,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Parameters and header of a checkpoint. A truncated or garbled file, a kind other than
     etm and modified, arrays other than those its kind stores, an array whose shape
     disagrees with the others or whose dtype is not its kind's, bytes after the last array, or
-    a NaN or infinite value raise ModelError.
+    a NaN or infinite value raise ModelError. The one exception is -inf in `log_g0`, which
+    `training.fit` writes for a vocabulary word no document uses; `log_g0` must still hold a
+    finite value.
 
     The names, their order, the shapes and the dtypes come from a probe model of the file's
     kind whose sizes (#V, #T, H, #D, hidden, R) = (2, 3, 5, 7, 11, 13) are distinct, so each
@@ -443,7 +445,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             offset += count * dtype.itemsize
         if offset != len(data):
             raise ModelError(f"{path}: {len(data) - offset} bytes after the last array")
-        if not all(np.isfinite(arr).all() for arr in arrays.values()):
+        log_g0 = arrays.get("log_g0", np.zeros(1))
+        if not (all(np.isfinite(arr).all() for name, arr in arrays.items() if name != "log_g0")
+                and np.isfinite(log_g0).any()
+                and (np.isfinite(log_g0) | (log_g0 == -np.inf)).all()):
             raise ModelError(f"{path}: checkpoint holds NaN or infinite values")
         return ModelParams(kind, {name: arrays[name] for name in probe.arrays},
                            bool(meta["freeze_word_emb"])), meta

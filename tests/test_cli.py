@@ -155,6 +155,20 @@ def test_full_pipeline(texts_dir, tmp_path):
     assert "<svg" in svg.read_text("utf-8")
 
 
+def test_topics_and_eval_read_a_modified_model_of_a_corpus_with_an_unused_word(tmp_path):
+    """train gives the word no document uses log g0 = -inf; the checkpoint it writes loads."""
+    corpus, clusters = tmp_path / "corpus.json", tmp_path / "clusters.json"
+    ckpt, report = tmp_path / "model.ckpt", tmp_path / "report.json"
+    corpus.write_text(json.dumps({"vocab": list("abcde"), "docs": [
+        [0, 1, 0], [2, 3, 2], [0, 2, 1], [1, 3, 3], [0, 3, 0], [1, 2, 2]]}), "utf-8")
+    assert run(["cluster", corpus, clusters, "--k", 2]) == 0
+    assert run(["train", corpus, ckpt, "--model", "modified", "--topics", 2, "--clusters",
+                clusters, "--config", write_config(tmp_path, epochs=1, emb_dim=4, hidden=8)]) == 0
+    assert model.load_checkpoint(ckpt)[0].arrays["log_g0"][4] == -np.inf
+    assert run(["topics", corpus, ckpt, "--n", 3]) == 0
+    assert run(["eval", corpus, ckpt, report, "--n", 3]) == 0
+
+
 def test_train_lda_writes_topics_json_evaluable(texts_dir, tmp_path):
     corpus = tmp_path / "corpus.json"
     run(["preprocess", texts_dir, corpus, "--min-freq", 1])
@@ -666,7 +680,16 @@ def test_every_reader_names_its_file_for_a_malformed_input(texts_dir, tmp_path, 
      "one finite number per topic"),
     (json.dumps({"per_topic_tc": [0.1, 0.2], "per_topic_wswf": [0.3], "top_words": [],
                  "n_top": 3}), "one finite number per topic"),
-], ids=["no-per-topic-tc", "not-json", "no-topics", "lengths-differ"])
+    (json.dumps({"per_topic_tc": ["0.5"], "per_topic_wswf": [0.3], "top_words": [],
+                 "n_top": 3}), "one finite number per topic"),
+    (json.dumps({"per_topic_tc": [0.5], "per_topic_wswf": [True], "top_words": [],
+                 "n_top": 3}), "one finite number per topic"),
+    (json.dumps({"per_topic_tc": [0.5], "per_topic_wswf": [0.3], "top_words": [[[1, 0.2]]],
+                 "n_top": 3}), "top_words needs (word, probability) pairs"),
+    (json.dumps({"per_topic_tc": [0.5], "per_topic_wswf": [0.3], "top_words": [],
+                 "n_top": "3"}), "n_top must be an integer >= 1, got '3'"),
+], ids=["no-per-topic-tc", "not-json", "no-topics", "lengths-differ", "tc-string", "wswf-bool",
+        "top-word-not-a-string", "n_top-string"])
 def test_plot_rejects_a_report_it_cannot_draw(tmp_path, capsys, report, named):
     path = tmp_path / "report.json"
     path.write_text(report, "utf-8")

@@ -361,4 +361,6 @@ def test_load_report_loads_a_file_or_names_it(tmp_path_factory, text):
         assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
         return
     assert 0 < len(report.per_topic_tc) == len(report.per_topic_wswf)
-    assert np.isfinite(report.per_topic_tc).all() and np.isfinite(report.per_topic_wswf).all()
+    assert all(type(x) is float and np.isfinite(x)
+               for x in report.per_topic_tc + report.per_topic_wswf)
+    assert isinstance(report.n_top, int) and report.n_top >= 1

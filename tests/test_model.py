@@ -631,6 +631,35 @@ def test_load_checkpoint_rejects_an_array_of_another_dtype(tmp_path, params, nam
     assert f"array {name!r} has dtype {dtype}, expected" in str(err.value)
 
 
+def test_checkpoint_keeps_minus_inf_log_g0_of_an_unused_word(tmp_path):
+    """`training.fit` sets log g0 = -inf for a vocabulary word no document uses; the loader
+    takes back what the writer wrote."""
+    p = modified_params(seed=24)
+    p.arrays["log_g0"][[0, 7]] = -np.inf
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    model.save_checkpoint(p, a)
+    back, _ = model.load_checkpoint(a)
+    for name, arr in p.arrays.items():
+        assert np.array_equal(back.arrays[name], arr), name
+    model.save_checkpoint(back, b)
+    assert b.read_bytes() == a.read_bytes()
+
+
+@pytest.mark.parametrize("name, values", [
+    ("log_g0", [np.nan]), ("log_g0", [np.inf]), ("log_g0", [-np.inf] * 20),
+    ("word_emb", [-np.inf]), ("centres", [np.nan]), ("log_lambda", [np.inf]),
+], ids=["log_g0 NaN", "log_g0 +inf", "log_g0 all -inf", "word_emb -inf", "centres NaN",
+        "log_lambda +inf"])
+def test_load_checkpoint_rejects_a_value_that_is_not_finite(tmp_path, name, values):
+    p = modified_params(seed=24)
+    p.arrays[name].flat[: len(values)] = values
+    path = tmp_path / "bad.ckpt"
+    model.save_checkpoint(p, path)
+    with pytest.raises(model.ModelError) as err:
+        model.load_checkpoint(path)
+    assert str(err.value) == f"{path}: checkpoint holds NaN or infinite values"
+
+
 def test_load_checkpoint_rejects_bytes_after_the_last_array(tmp_path):
     path = tmp_path / "long.ckpt"
     model.save_checkpoint(etm_params(seed=23), path)
@@ -659,11 +688,17 @@ def test_checkpoint_header_with_cluster_hash_still_loads(tmp_path):
 
 
 @functools.cache
-def _small_checkpoint() -> tuple[dict, bytes]:
-    """Header and array bytes of an etm checkpoint with (#V, #T, H, hidden) = (4, 2, 3, 5)."""
+def _small_checkpoint(kind: str) -> tuple[dict, bytes]:
+    """Header and array bytes of a checkpoint of `kind` with (#V, #T, H, hidden) = (4, 2, 3, 5);
+    a modified one has #D = 6, R = 3 and a word of log g0 = -inf, as no document used it."""
+    if kind == "etm":
+        p = etm_params(n_vocab=4, n_topics=2, emb_dim=3, hidden=5)
+    else:
+        p = modified_params(n_vocab=4, n_topics=2, emb_dim=3, hidden=5, n_docs=6)
+        p.arrays["log_g0"][0] = -np.inf
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "small.ckpt"
-        model.save_checkpoint(etm_params(n_vocab=4, n_topics=2, emb_dim=3, hidden=5), path)
+        model.save_checkpoint(p, path)
         data = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", data)
     return json.loads(data[8 : 8 + hlen]), data[8 + hlen :]
@@ -683,9 +718,10 @@ def _with_topics(meta: dict, n_topics) -> dict:
 
 @st.composite
 def checkpoint_files(draw):
-    """The small checkpoint as saved, or with one part replaced: its topic count, a header
-    field, a field of an array's spec, the header length or the array bytes; or any bytes."""
-    meta, body = copy.deepcopy(_small_checkpoint())
+    """A small etm or modified checkpoint as saved, or with one part replaced: its topic
+    count, a header field, a field of an array's spec, the header length or the array bytes;
+    or any bytes."""
+    meta, body = copy.deepcopy(_small_checkpoint(draw(st.sampled_from(["etm", "modified"]))))
     hlen = None
     part = draw(st.sampled_from(["none", "bytes", "topics", "field", "spec", "hlen", "body"]))
     if part == "bytes":
@@ -712,7 +748,9 @@ def checkpoint_files(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(checkpoint_files())
-@example(_checkpoint_bytes(_with_topics(_small_checkpoint()[0], 10**30), _small_checkpoint()[1]))
+@example(_checkpoint_bytes(_with_topics(_small_checkpoint("etm")[0], 10**30),
+                           _small_checkpoint("etm")[1]))
+@example(_checkpoint_bytes(*_small_checkpoint("modified")))
 def test_load_checkpoint_loads_a_file_or_names_it(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
     path.write_bytes(data)
@@ -721,4 +759,5 @@ def test_load_checkpoint_loads_a_file_or_names_it(tmp_path_factory, data):
     except model.ModelError as err:
         assert str(err).startswith(f"{path}: ") and "\n" not in str(err)
         return
-    assert all(np.isfinite(arr).all() for arr in params.arrays.values())
+    for name, arr in params.arrays.items():  # -inf only in log_g0, at a word no document used
+        assert (np.isfinite(arr) | ((arr == -np.inf) & (name == "log_g0"))).all(), name
